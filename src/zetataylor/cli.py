@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,12 @@ EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-2/7" and "-1e3" as values, not flags; no option of this
+        # parser starts with "-" followed by a digit or "."
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # bad flags -> 64, not argparse's default 2
         self.print_usage(sys.stderr)
         raise SystemExit(self.exit_with_usage(message))

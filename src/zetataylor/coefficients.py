@@ -14,31 +14,34 @@ Phi(lam, s, a) = sum_n c_n(a, lam) s^n (lam != 1) the analogous series is
 
 with Apostol-Bernoulli values beta and no constant offset.
 
-The "-1" is an exact offset applied outside the summation engine, so traces
-show the series itself and error estimates describe only the series.  For
-rational a (and lam) every term is an exact Fraction converted to mpf once;
-otherwise the exact polynomial coefficients are evaluated by Horner at
-working precision.  Both choices maximize cancellation fidelity, which
-matters in an asymptotic series.
+Both polynomial families are Appell sequences (`exact.appell_row`), so
+every series here, the n = 1, 2 and log-gamma variants included, has terms
+weight(k) * P_{k+1}(x) from the one generator `_terms`; only the weight
+differs.  The "-1" is an exact offset applied outside the summation engine,
+so traces show the series itself and error estimates describe only the
+series.  For rational a (and lam) every term is an exact Fraction converted
+to mpf once; otherwise the exact polynomial coefficients are evaluated by
+Horner at working precision.  Both choices maximize cancellation fidelity,
+which matters in an asymptotic series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 import mpmath
 from mpmath import mpf, workdps
 
 from .exact import (
-    apostol_bernoulli,
-    apostol_bernoulli_coeffs,
-    bernoulli_polynomial,
-    bernoulli_polynomial_coeffs,
+    appell_row,
     exp_polynomial_coeffs,
     harmonic_number,
+    horner,
     stirling1,
     stirling2,
 )
@@ -99,6 +102,13 @@ def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _check_real(name: str, x) -> None:
+    """Raise ValueError unless x is a finite real number (bool excluded)."""
+    real = isinstance(x, numbers.Real) or hasattr(x, "_mpf_")
+    if isinstance(x, bool) or not real or not mpmath.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class CoefficientQuery:
     """One coefficient request: which family, which Taylor index n, the
@@ -116,8 +126,13 @@ class CoefficientQuery:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"coefficient index n must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError("coefficient index n must be non-negative")
+        _check_real("shift a", self.a)
+        if self.lam is not None:
+            _check_real("lambda", self.lam)
         if not self.a > 0:
             raise ValueError("shift a must be positive")
         if self.digits < 15:
@@ -158,58 +173,35 @@ class CoefficientResult:
         return self.series.error_estimate
 
 
-def _hurwitz_terms_exact(n: int, a: Fraction) -> Iterator[Fraction]:
-    x = a - 1
-    k = n
+def _terms(
+    weight: Callable[[int], Fraction], x, lam: Fraction | None, start: int
+) -> Iterator:
+    """Series terms weight(k) * P_(k+1)(x) for k = start, start+1, ...,
+    where P is the Bernoulli family (lam None) or the Apostol-Bernoulli
+    family of lam.  Rational x yields exact Fractions; otherwise each exact
+    Appell row is evaluated by Horner at working precision."""
+    exact = _is_rational(x)
+    if not exact:
+        x = to_mpf(x)
+    k = start
     while True:
-        yield (
-            hurwitz_term_sign(k)
-            * Fraction(stirling1(k, n))
-            * bernoulli_polynomial(k + 1, x)
-            / factorial(k + 1)
-        )
+        row = appell_row(k + 1, lam)
+        if exact:
+            yield weight(k) * horner(row, x)
+        else:
+            yield to_mpf(weight(k)) * eval_polynomial(row, x)
         k += 1
 
 
-def _hurwitz_terms_numeric(n: int, a: mpf) -> Iterator[mpf]:
-    x = to_mpf(a) - 1
-    k = n
-    while True:
-        b = eval_polynomial(bernoulli_polynomial_coeffs(k + 1), x)
-        w = to_mpf(Fraction(hurwitz_term_sign(k) * stirling1(k, n), factorial(k + 1)))
-        yield w * b
-        k += 1
-
-
-def _lerch_terms_exact(n: int, a: Fraction, lam: Fraction) -> Iterator[Fraction]:
-    x = a - 1
-    k = n
-    while True:
-        yield (
-            lerch_term_sign(n, k)
-            * Fraction(stirling1(k, n))
-            * apostol_bernoulli(k + 1, x, lam)
-            / factorial(k + 1)
-        )
-        k += 1
-
-
-def _lerch_terms_numeric(n: int, a: mpf, lam: Fraction) -> Iterator[mpf]:
-    x = to_mpf(a) - 1
-    k = n
-    while True:
-        b = eval_polynomial(apostol_bernoulli_coeffs(k + 1, lam), x)
-        w = to_mpf(Fraction(lerch_term_sign(n, k) * stirling1(k, n), factorial(k + 1)))
-        yield w * b
-        k += 1
+def _shifted(a):
+    """a - 1, exact for rational a; call at working precision."""
+    return Fraction(a) - 1 if _is_rational(a) else to_mpf(a) - 1
 
 
 def _lam_as_fraction(lam) -> Fraction:
     # every representable real lam is (dyadic) rational, so the exact
-    # Apostol-Bernoulli recurrence applies verbatim
-    return lam if isinstance(lam, Fraction) else (
-        Fraction(lam) if isinstance(lam, int) else fraction_from_mpf(lam)
-    )
+    # Apostol-Bernoulli table applies verbatim
+    return Fraction(lam) if _is_rational(lam) else fraction_from_mpf(lam)
 
 
 def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
@@ -217,20 +209,16 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     with workdps(query.digits):
         n = query.n
         if query.family == "lerch":
-            lam = _lam_as_fraction(query.lam)
-            if _is_rational(query.a):
-                gen = _lerch_terms_exact(n, Fraction(query.a), lam)
-            else:
-                gen = _lerch_terms_numeric(n, query.a, lam)
-            offset = mpf(0)
+            lam, offset, sign = _lam_as_fraction(query.lam), mpf(0), partial(lerch_term_sign, n)
         else:
-            if _is_rational(query.a):
-                gen = _hurwitz_terms_exact(n, Fraction(query.a))
-            else:
-                gen = _hurwitz_terms_numeric(n, query.a)
-            offset = mpf(-1)
+            lam, offset, sign = None, mpf(-1), hurwitz_term_sign
+
+        def weight(k):
+            return Fraction(sign(k) * stirling1(k, n), factorial(k + 1))
+
         series = sum_semiconvergent(
-            gen, start=n, max_terms=query.max_terms, trace=query.trace
+            _terms(weight, _shifted(query.a), lam, n),
+            start=n, max_terms=query.max_terms, trace=query.trace,
         )
         value = offset + series.value
         derivative = to_mpf(factorial(n)) * value
@@ -283,28 +271,14 @@ def lerch_coefficient(
     )
 
 
-def _special_terms_exact(n: int, a: Fraction) -> Iterator[Fraction]:
+def _folded_weight(n: int) -> Callable[[int], Fraction]:
     # n = 1: s1(k, 1) = (k-1)!; n = 2: s1(k, 2) = (k-1)! H_{k-1}.  Both
     # fold with (k+1)! into a 1/(k(k+1)) denominator.
-    x = a - 1
-    k = n
-    while True:
+    def weight(k):
         w = Fraction(hurwitz_term_sign(k), k * (k + 1))
-        if n == 2:
-            w *= harmonic_number(k - 1)
-        yield w * bernoulli_polynomial(k + 1, x)
-        k += 1
+        return w * harmonic_number(k - 1) if n == 2 else w
 
-
-def _special_terms_numeric(n: int, a: mpf) -> Iterator[mpf]:
-    x = to_mpf(a) - 1
-    k = n
-    while True:
-        w = Fraction(hurwitz_term_sign(k), k * (k + 1))
-        if n == 2:
-            w *= harmonic_number(k - 1)
-        yield to_mpf(w) * eval_polynomial(bernoulli_polynomial_coeffs(k + 1), x)
-        k += 1
+    return weight
 
 
 def hurwitz_coefficient_special(
@@ -335,33 +309,12 @@ def hurwitz_coefficient_special(
             rec = (TraceRecord(0, term, term),) if trace else None
             series = SemiConvergentResult(term, mpf(0), 0, "converged", rec)
         else:
-            gen = (
-                _special_terms_exact(n, Fraction(a))
-                if _is_rational(a)
-                else _special_terms_numeric(n, a)
+            series = sum_semiconvergent(
+                _terms(_folded_weight(n), _shifted(a), None, n),
+                start=n, max_terms=max_terms, trace=trace,
             )
-            series = sum_semiconvergent(gen, start=n, max_terms=max_terms, trace=trace)
         value = mpf(-1) + series.value
         return CoefficientResult(query, series, mpf(-1), value, to_mpf(factorial(n)) * value)
-
-
-def _log_gamma_terms(a) -> Iterator:
-    if _is_rational(a):
-        af = Fraction(a)
-        k = 1
-        while True:
-            yield Fraction(hurwitz_term_sign(k), k * (k + 1)) * bernoulli_polynomial(
-                k + 1, af
-            )
-            k += 1
-    else:
-        x = to_mpf(a)
-        k = 1
-        while True:
-            yield to_mpf(Fraction(hurwitz_term_sign(k), k * (k + 1))) * eval_polynomial(
-                bernoulli_polynomial_coeffs(k + 1), x
-            )
-            k += 1
 
 
 def log_gamma_series(
@@ -380,27 +333,15 @@ def log_gamma_series(
     minimal term (about 1e-3 for small a); callers compare against an
     accurate log-gamma within the reported estimate.
     """
+    _check_real("a", a)
     if not a >= 0:
         raise ValueError("a must be non-negative")
     with workdps(digits):
         series = sum_semiconvergent(
-            _log_gamma_terms(a), start=1, max_terms=max_terms, trace=trace
+            _terms(_folded_weight(1), a, None, 1),
+            start=1, max_terms=max_terms, trace=trace,
         )
-        value = mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value
-        return SemiConvergentResult(
-            value,
-            series.error_estimate,
-            series.truncation_index,
-            series.terminated_by,
-            series.trace,
-        )
-
-
-def _poly_at_int(coeffs: list[Fraction], k: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
+        return replace(series, value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
 
 
 def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
@@ -419,7 +360,7 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
         lhs = mpf(0)
         weight = mpf(1)  # x^k / k!
         for k in range(K + 1):
-            lhs += to_mpf(_poly_at_int(coeffs, k)) * weight
+            lhs += to_mpf(horner(coeffs, k)) * weight
             weight = weight * xv / (k + 1)
         rhs = mpf(0)
         for m, am in enumerate(coeffs):
@@ -464,28 +405,9 @@ def system_residual(
         top = N if N is not None else max(k, first.series.truncation_index)
         lhs = mpf(0)
         for n in range(k, top + 1):
-            res = first if n == k else coeff(n)
-            w = to_mpf(stirling2(n, k))
-            if family == "hurwitz":
-                b = res.value + 1
-                if n % 2 == 1:
-                    b = -b
-            else:
-                b = res.value
-            lhs += w * b
-        if family == "hurwitz":
-            if _is_rational(a):
-                rhs = to_mpf(-bernoulli_polynomial(k + 1, Fraction(a) - 1) / factorial(k + 1))
-            else:
-                rhs = -eval_polynomial(
-                    bernoulli_polynomial_coeffs(k + 1), to_mpf(a) - 1
-                ) / to_mpf(factorial(k + 1))
-        else:
-            lamf = _lam_as_fraction(lam)
-            if _is_rational(a):
-                rhs = to_mpf(-apostol_bernoulli(k + 1, Fraction(a) - 1, lamf) / factorial(k + 1))
-            else:
-                rhs = -eval_polynomial(
-                    apostol_bernoulli_coeffs(k + 1, lamf), to_mpf(a) - 1
-                ) / to_mpf(factorial(k + 1))
+            value = (first if n == k else coeff(n)).value
+            b = value if family == "lerch" else (-1) ** n * (value + 1)
+            lhs += to_mpf(stirling2(n, k)) * b
+        lamf = _lam_as_fraction(lam) if family == "lerch" else None
+        rhs = to_mpf(next(_terms(lambda j: Fraction(-1, factorial(j + 1)), _shifted(a), lamf, k)))
         return lhs - rhs

@@ -6,18 +6,20 @@ values (always canonical, denominator > 0).  The Bernoulli convention is
 B1 = -1/2.
 
 Rational arguments only.  Callers with non-rational arguments should fetch
-the exact coefficient tuples (`bernoulli_polynomial_coeffs`,
-`apostol_bernoulli_coeffs`) and do the final Horner step in floating point.
+the exact coefficient tuples (`appell_row`) and do the final Horner step in
+floating point.
 
-All caches grow monotonically under a lock, so concurrent callers always
-observe values identical to a fresh recomputation.
+All caches grow under a lock, so concurrent callers always observe values
+identical to a fresh recomputation; only the per-lam Apostol-Bernoulli
+families are bounded (least recently used out).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 __all__ = [
     "StirlingTable",
@@ -25,6 +27,8 @@ __all__ = [
     "stirling2",
     "exp_polynomial_coeffs",
     "bernoulli_number",
+    "appell_row",
+    "horner",
     "bernoulli_polynomial",
     "bernoulli_polynomial_coeffs",
     "apostol_bernoulli",
@@ -107,8 +111,43 @@ def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
     return _STIRLING2.row(n)
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+# Bernoulli polynomials and the Apostol-Bernoulli values beta_m(x, lam),
+# defined by z*e^(x*z) / (lam*e^z - 1) = sum_m beta_m(x, lam) z^m / m!, are
+# both Appell sequences, P_m(x) = sum_p C(m, p) b_(m-p) x^p, fixed by the
+# numbers b_j = P_j(0).  Bernoulli (keyed None): b_j = B_j.  For lam != 1,
+# matching coefficients of z^m/m! in the generating function times
+# (lam*e^z - 1) gives
+#
+#   (lam - 1)*b_m + lam * sum_{j<m} C(m, j)*b_j = [m = 1],
+#
+# so b_0 = 0 and Apostol row m has length m (row 0 is (0,)).  One cache holds
+# each family's numbers and rows C(m, p)*b_(m-p): Bernoulli stays, at most
+# _APPELL_LAMBDAS Apostol families are kept, least recently used out.
+_APPELL_LAMBDAS = 8
+_appell: OrderedDict = OrderedDict({None: ([Fraction(1)], [])})
+_appell_lock = threading.Lock()
+
+
+def _family(lam: Fraction | None, n: int) -> tuple[list[Fraction], list[tuple]]:
+    """(numbers, rows) of one family, numbers grown through b_n, marked most
+    recently used.  The caller holds the lock."""
+    if lam in _appell:
+        _appell.move_to_end(lam)
+    else:
+        _appell[lam] = ([], [])
+        if len(_appell) > _APPELL_LAMBDAS + 1:
+            del _appell[next(key for key in _appell if key is not None)]
+    numbers, rows = _appell[lam]
+    for m in range(len(numbers), n + 1):
+        if lam is None:  # sum_{j<=m} C(m+1, j) B_j = 0; odd B_m vanish for m > 1
+            numbers.append(
+                Fraction(0) if m > 2 and m % 2 == 1
+                else -sum(comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1)
+            )
+        else:
+            acc = sum(comb(m, j) * numbers[j] for j in range(m))
+            numbers.append((int(m == 1) - lam * acc) / (lam - 1))
+    return numbers, rows
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -120,90 +159,57 @@ def bernoulli_number(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            for m in range(len(_bernoulli_cache), n + 1):
-                if m > 2 and m % 2 == 1:
-                    _bernoulli_cache.append(Fraction(0))
-                    continue
-                acc = Fraction(0)
-                for j in range(m):
-                    acc += comb(m + 1, j) * _bernoulli_cache[j]
-                _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    with _appell_lock:
+        return _family(None, n)[0][n]
 
 
-def bernoulli_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Exact coefficients (ascending powers) of the Bernoulli polynomial
-    B_n(x) = sum_j C(n, j) B_j x^(n-j)."""
-    if n < 0:
+def appell_row(m: int, lam: RationalLike | None = None) -> tuple[Fraction, ...]:
+    """Exact coefficients (ascending powers of x) of B_m(x) for lam None,
+    else of the Apostol-Bernoulli value beta_m(x, lam), lam != 1."""
+    if m < 0:
         raise ValueError("n must be non-negative")
-    return tuple(comb(n, m) * bernoulli_number(n - m) for m in range(n + 1))
+    if lam is not None:
+        lam = Fraction(lam)
+        if lam == 1:
+            raise ValueError(
+                "apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial"
+            )
+    with _appell_lock:
+        numbers, rows = _family(lam, m)
+        for r in range(len(rows), m + 1):
+            width = r + 1 if lam is None else r
+            rows.append(tuple(comb(r, p) * numbers[r - p] for p in range(width)) or (Fraction(0),))
+        return rows[m]
 
 
-def bernoulli_polynomial(n: int, x: RationalLike) -> Fraction:
-    """B_n(x) at a rational point, exact."""
-    x = Fraction(x)
+def horner(coeffs, x: RationalLike) -> Fraction:
+    """Exact value at rational x of the polynomial with ascending
+    coefficients `coeffs`."""
     acc = Fraction(0)
-    for c in reversed(bernoulli_polynomial_coeffs(n)):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-# Apostol-Bernoulli values beta_n(a, lam) are defined by the generating
-# function z*e^(a*z) / (lam*e^z - 1) = sum_n beta_n(a, lam) z^n / n!.
-# Multiplying through by (lam*e^z - 1) and matching coefficients of z^n/n!
-# gives, for lam != 1,
-#
-#   (lam - 1)*beta_n + lam * sum_{j<n} C(n, j)*beta_j = n * a^(n-1)
-#
-# (right side 0 for n = 0).  For fixed lam each beta_n is a polynomial of
-# degree <= n-1 in a, so the recurrence is run once on coefficient vectors
-# per lam and evaluated afterwards.  Validated against the closed forms
-# beta_0 = 0, beta_1 = 1/(lam-1), beta_2 = (2a(lam-1) - 2lam)/(lam-1)^2
-# in the test suite.
-_apostol_cache: dict[Fraction, list[tuple[Fraction, ...]]] = {}
-_apostol_lock = threading.Lock()
+def bernoulli_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
+    """Coefficients of B_n(x) = sum_j C(n, j) B_j x^(n-j), ascending, exact."""
+    return appell_row(n)
+
+
+def bernoulli_polynomial(n: int, x: RationalLike) -> Fraction:
+    """B_n(x) at a rational point, exact."""
+    return horner(appell_row(n), x)
 
 
 def apostol_bernoulli_coeffs(n: int, lam: RationalLike) -> tuple[Fraction, ...]:
-    """Exact coefficients (ascending powers of the first argument) of the
-    n-th Apostol-Bernoulli value as a polynomial in a, for fixed rational
-    lam != 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    lam = Fraction(lam)
-    if lam == 1:
-        raise ValueError(
-            "apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial"
-        )
-    with _apostol_lock:
-        rows = _apostol_cache.setdefault(lam, [(Fraction(0),)])
-        d = lam - 1
-        while len(rows) <= n:
-            m = len(rows)
-            # rhs = m * a^(m-1)  minus the lam-weighted binomial convolution
-            acc = [Fraction(0)] * m
-            acc[m - 1] = Fraction(m)
-            for j in range(m):
-                cj = lam * comb(m, j)
-                for p, coeff in enumerate(rows[j]):
-                    acc[p] -= cj * coeff
-            rows.append(tuple(c / d for c in acc))
-        return rows[n]
+    """Coefficients of beta_n(a, lam) in ascending powers of a, exact."""
+    return appell_row(n, lam)
 
 
 def apostol_bernoulli(n: int, a: RationalLike, lam: RationalLike) -> Fraction:
     """Apostol-Bernoulli value beta_n(a, lam) at rational (a, lam), exact.
-
-    Raises for lam = 1, where the family degenerates to the Bernoulli
-    polynomials and the recurrence divides by lam - 1.
-    """
-    a = Fraction(a)
-    acc = Fraction(0)
-    for c in reversed(apostol_bernoulli_coeffs(n, lam)):
-        acc = acc * a + c
-    return acc
+    Raises for lam = 1, where the family degenerates to B_n."""
+    return horner(appell_row(n, lam), a)
 
 
 _harmonic_cache: list[Fraction] = [Fraction(0)]

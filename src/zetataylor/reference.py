@@ -216,6 +216,8 @@ def taylor_coefficient_contour(
         raise ValueError(f"unknown family {family!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
+    if family == "riemann" and a != 1:
+        raise ValueError("the riemann family fixes a = 1")
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
     radius = (

@@ -18,8 +18,9 @@ term.  `sum_semiconvergent` accumulates terms until one of:
   The sum is then truncated just after the smallest-magnitude term and the
   first omitted term is reported as the error estimate, or
 * `max_terms` terms have been consumed (no minimum was detected; the
-  magnitude of the last term is reported as the error estimate, which for
-  a divergent tail honestly signals that no accuracy was achieved).
+  magnitude of the last term at or above the convergence threshold is
+  reported as the error estimate, which for a divergent tail honestly
+  signals that no accuracy was achieved).
 
 Terms below the convergence threshold (in particular exact zeros from
 vanishing odd-index Bernoulli numbers) are included in the sum but ignored
@@ -99,8 +100,10 @@ class SemiConvergentResult:
     minimal-term truncation `error_estimate` is the magnitude of the first
     omitted term; for threshold convergence it is the threshold itself;
     when `max_terms` was hit it is the magnitude of the last generated
-    term.  `trace` (if requested) covers every generated term, including
-    the ones past the truncation point that triggered the stop.
+    term at or above the threshold (an exact zero in last place says
+    nothing about the tail).  `trace` (if requested) covers every
+    generated term, including the ones past the truncation point that
+    triggered the stop.
     """
 
     value: mpf
@@ -196,10 +199,10 @@ def sum_semiconvergent(
         last = records[-1]
         return SemiConvergentResult(last.partial_sum, +threshold, last.k, reason, kept)
     if reason == "max_terms":
+        # prev_mag is the magnitude of the last term at or above threshold
         last = records[-1]
-        return SemiConvergentResult(
-            last.partial_sum, abs(last.term), last.k, reason, kept
-        )
+        estimate = abs(last.term) if prev_mag is None else prev_mag
+        return SemiConvergentResult(last.partial_sum, estimate, last.k, reason, kept)
     # minimal_term: truncate just before the first non-negligible term
     # after the minimum; everything in between is zero-like and does not
     # change the partial sum.

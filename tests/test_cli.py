@@ -115,6 +115,36 @@ def test_nonpositive_shift_rejected(capsys):
     assert code == 2
 
 
+def test_negative_rational_values_parse(capsys):
+    code, spaced, _ = run_cli(
+        capsys, "coeff", "--family", "lerch", "--a", "3/2", "--lambda", "-2/7", "--n", "1"
+    )
+    assert code == 0
+    code, joined, _ = run_cli(
+        capsys, "coeff", "--family=lerch", "--a=3/2", "--lambda=-2/7", "--n=1"
+    )
+    assert code == 0
+    assert spaced == joined
+    assert json.loads(spaced)["lambda"] == "-2/7"
+    code, _, err = run_cli(capsys, "coeff", "--family", "hurwitz", "--a", "-1/2", "--n", "0")
+    assert code == 2  # a domain error, not a usage error
+    assert "positive" in err
+
+
+def test_max_terms_error_bar_is_not_zero(capsys):
+    # the last generated term is an exact zero; the estimate comes from the
+    # last term at or above the convergence threshold
+    code, out, _ = run_cli(
+        capsys, "coeff", "--family=lerch", "--a=3/2", "--lambda=-1", "--n=2"
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["terminated_by"] == "max_terms"
+    with mpmath.workdps(50):
+        est, value = mpf(rec["error_estimate"]), mpf(rec["value"])
+        assert est > abs(value) > mpf("1e55")
+
+
 def test_bad_flag_exits_usage(capsys):
     code, _, _ = run_cli(capsys, "coeff", "--family", "nonsense", "--n", "0")
     assert code == 64

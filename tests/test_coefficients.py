@@ -95,6 +95,94 @@ def test_query_validation():
         CoefficientQuery("bogus", 0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 1.0},
+        {"n": True},
+        {"a": complex(1, 1)},
+        {"a": mpmath.mpc(1, 1)},
+        {"a": mpf("inf")},
+        {"a": "1"},
+        {"a": True},
+        {"lam": mpf("-inf"), "family": "lerch"},
+        {"lam": complex(0.5, 0), "family": "lerch"},
+    ],
+)
+def test_query_rejects_non_int_index_and_non_finite_real_inputs(kwargs):
+    args = {"family": "hurwitz", "n": 1, "a": 1, **kwargs}
+    if args["family"] == "lerch":
+        args.setdefault("lam", Fraction(1, 2))
+    with pytest.raises(ValueError):
+        CoefficientQuery(**args)
+
+
+def test_query_accepts_float_and_mpf_constants():
+    CoefficientQuery("hurwitz", 1, a=0.5)
+    CoefficientQuery("hurwitz", 1, a=mpmath.e)
+    CoefficientQuery("lerch", 1, a=1, lam=-0.5)
+
+
+# Every term path (Hurwitz, Lerch, the folded n = 1, 2 weights and
+# log-gamma; rational and mpf x), formatted at 30 digits as the CLI does:
+# (path, n, a, lam, value, error_estimate, truncation_index, terminated_by).
+# Floats stand for the mpf built from them.
+GOLDEN = [
+    ("hurwitz", 1, Fraction(3, 2), None,
+     "-1.03941437251984126984126984127", "0.000840106797138047138047138047138", 8, "minimal_term"),
+    ("hurwitz", 3, Fraction(1, 2), None,
+     "-0.945838384399446682432793543905", "0.00689194920956816999413725604202", 10, "minimal_term"),
+    ("hurwitz", 1, 1.3, None,
+     "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
+    ("hurwitz", 2, 0.7, None,
+     "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
+    ("lerch", 1, Fraction(3, 2), Fraction(-2, 7),
+     "0.213054253670680282477264644617", "0.0455746145856266264740582679921", 4, "minimal_term"),
+    ("lerch", 2, Fraction(1), Fraction(1, 2),
+     "-1.9072558917291605112168160004e+100", "1.92784077340195022784106374436e+100", 65, "max_terms"),
+    ("lerch", 1, 0.8, Fraction(-1, 3),
+     "-0.343124999999999951705298428806", "0.0170625000000000004996003610813", 2, "minimal_term"),
+    ("lerch", 3, Fraction(5, 4), -0.41,
+     "-0.00722594582944820805403520947274", "0.0334327277503304268941702762055", 3, "minimal_term"),
+    ("special", 1, Fraction(3, 2), None,
+     "-1.03941437251984126984126984127", "0.000840106797138047138047138047138", 8, "minimal_term"),
+    ("special", 2, Fraction(2), None,
+     "-1.00397156084656084656084656085", "0.00228775853775853775853775853776", 8, "minimal_term"),
+    ("special", 1, 1.3, None,
+     "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
+    ("special", 2, 0.7, None,
+     "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
+    ("log_gamma", None, Fraction(1, 2), None,
+     "-0.120475839315168528060940104864", "0.000840106797138047138047138047138", 8, "minimal_term"),
+    ("log_gamma", None, 0.3, None,
+     "-0.107939960446120907108300471521", "0.00058743333333333334721385264224", 5, "minimal_term"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,n,a,lam,value,estimate,index,reason",
+    GOLDEN,
+    ids=[f"{g[0]}-{g[1]}-{g[2]}-{g[3]}" for g in GOLDEN],
+)
+def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
+    a = mpf(a) if isinstance(a, float) else a
+    lam = mpf(lam) if isinstance(lam, float) else lam
+    if path == "hurwitz":
+        res = hurwitz_coefficient(n, a, digits=30)
+    elif path == "lerch":
+        res = lerch_coefficient(n, a, lam, digits=30)
+    elif path == "special":
+        res = hurwitz_coefficient_special(n, a, digits=30)
+    if path == "log_gamma":
+        series = log_gamma_series(a, digits=30)
+        got = series.value
+    else:
+        series, got = res.series, res.value
+    fmt = lambda x: mpmath.nstr(x, 30, strip_zeros=True)  # noqa: E731
+    assert (fmt(got), fmt(series.error_estimate)) == (value, estimate)
+    assert (series.truncation_index, series.terminated_by) == (index, reason)
+
+
 # ---------------------------- special paths ----------------------------
 
 
@@ -152,6 +240,10 @@ def test_log_gamma_series_minimal_term_location():
 def test_log_gamma_series_negative_argument_rejected():
     with pytest.raises(ValueError):
         log_gamma_series(-1)
+    with pytest.raises(ValueError):
+        log_gamma_series(complex(1, 1))
+    with pytest.raises(ValueError):
+        log_gamma_series(mpf("inf"))
 
 
 def test_log_gamma_series_consistent_with_shifted_coefficient():

@@ -1,5 +1,6 @@
 """Exact combinatorics against independent oracles and closed forms."""
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -7,7 +8,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
+from zetataylor import exact
+from zetataylor.coefficients import fraction_from_mpf
 from zetataylor.exact import (
     StirlingTable,
     apostol_bernoulli,
@@ -17,6 +21,7 @@ from zetataylor.exact import (
     bernoulli_polynomial_coeffs,
     exp_polynomial_coeffs,
     harmonic_number,
+    horner,
     stirling1,
     stirling2,
 )
@@ -73,6 +78,23 @@ def apostol_series_division(nmax: int, a: Fraction, lam: Fraction) -> list[Fract
         acc = u[m] - sum(d[m - j] * b[j] for j in range(m))
         b.append(acc / d[0])
     return [b[n] * factorial(n) for n in range(nmax + 1)]
+
+
+def apostol_vector_recurrence(nmax: int, lam: Fraction) -> list[tuple[Fraction, ...]]:
+    """Coefficient rows (ascending powers of a) of beta_0..beta_nmax by the
+    recurrence (lam - 1)*beta_m + lam * sum_{j<m} C(m, j)*beta_j = m*a^(m-1)
+    run on whole coefficient vectors: O(nmax^3), independent of the Appell
+    numbers."""
+    rows = [(Fraction(0),)]
+    for m in range(1, nmax + 1):
+        acc = [Fraction(0)] * m
+        acc[m - 1] = Fraction(m)
+        for j in range(m):
+            cj = lam * comb(m, j)
+            for p, coeff in enumerate(rows[j]):
+                acc[p] -= cj * coeff
+        rows.append(tuple(c / (lam - 1) for c in acc))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +272,37 @@ def test_apostol_rejects_lambda_one():
         apostol_bernoulli(3, Fraction(1, 2), 1)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [
+        Fraction(1, 2),
+        Fraction(-1),
+        Fraction(-2, 7),
+        Fraction(3, 4),
+        fraction_from_mpf(mpf(0.73)),
+        fraction_from_mpf(mpf(-0.41)),
+    ],
+    ids=["1/2", "-1", "-2/7", "3/4", "mpf0.73", "mpf-0.41"],
+)
+def test_apostol_rows_match_vector_recurrence(lam):
+    want = apostol_vector_recurrence(70, lam)
+    for n in range(71):
+        assert apostol_bernoulli_coeffs(n, lam) == want[n]
+
+
+def test_bernoulli_rows_are_binomial_times_numbers():
+    for n in range(30):
+        row = bernoulli_polynomial_coeffs(n)
+        assert row == tuple(comb(n, p) * bernoulli_number(n - p) for p in range(n + 1))
+        assert all(type(c) is Fraction for c in row)
+
+
+def test_horner_exact():
+    assert horner((Fraction(1), Fraction(-2), Fraction(3)), Fraction(1, 2)) == Fraction(3, 4)
+    assert horner((), 5) == 0
+    assert horner((Fraction(1, 3), 2), 4) == Fraction(25, 3)
+
+
 def test_apostol_coeffs_degree():
     # beta_n is a polynomial of degree <= n-1 in its first argument
     for n in range(1, 10):
@@ -269,17 +322,37 @@ def test_harmonic_examples():
 
 
 def test_caches_are_consistent_under_threads():
+    # more lambdas than the Apostol cache keeps, so rows are evicted and
+    # rebuilt while other threads read them
+    lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
     results = []
 
-    def work():
+    def work(shift):
+        order = lams[shift:] + lams[:shift]
         results.append(
-            (bernoulli_number(120), stirling1(60, 7), apostol_bernoulli(30, Fraction(1, 3), Fraction(1, 2)))
+            (
+                bernoulli_number(120),
+                stirling1(60, 7),
+                apostol_bernoulli(30, Fraction(1, 3), Fraction(1, 2)),
+                tuple(sorted((lam, apostol_bernoulli(14, Fraction(1, 3), lam)) for lam in order)),
+            )
         )
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
     assert len(set(results)) == 1
     assert results[0][0] == bernoulli_akiyama_tanigawa(120)[120]
+    for lam, value in results[0][3]:
+        assert value == apostol_series_division(14, Fraction(1, 3), lam)[14]
+    assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
+    assert None in exact._appell  # the Bernoulli family is never evicted

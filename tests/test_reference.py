@@ -146,6 +146,11 @@ def test_contour_requires_lambda_for_lerch():
         taylor_coefficient_contour("lerch", 0, 1)
 
 
+def test_contour_riemann_fixes_shift_one():
+    with pytest.raises(ValueError, match="a = 1"):
+        taylor_coefficient_contour("riemann", 1, a=2)
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(2, 10)

@@ -118,6 +118,16 @@ def test_immediately_growing_series_reports_max_terms():
     assert res.error_estimate == 800
 
 
+def test_max_terms_estimate_skips_trailing_zero_terms():
+    # the exact zero in last place must not report a zero error bar; the
+    # last term at or above the threshold sets it, as in minimal-term stops
+    vals = [2, -5, 9, -20, 50, 0]
+    res = sum_semiconvergent(iter(vals), start=0, max_terms=6)
+    assert res.terminated_by == "max_terms"
+    assert res.truncation_index == 5
+    assert res.error_estimate == 50
+
+
 def test_non_finite_term_raises_with_index():
     vals = [mpf(1), mpf(0.5), mpf("nan")]
     with pytest.raises(NonFiniteTermError) as exc:
