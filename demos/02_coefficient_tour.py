@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from zetataylor import hurwitz_coefficient, taylor_coefficient_contour
+from zetataylor import hurwitz_coefficient, taylor_coefficients_contour
 
 mp.dps = 30
 DIGITS = 30
@@ -26,9 +26,9 @@ DIGITS = 30
 for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
     print(f"shift a = {a}")
     print(f"{'n':>2} {'series':>14} {'est':>10} {'by':>13} {'reference':>14} {'delta':>10}")
-    for n in range(5):
+    contour = taylor_coefficients_contour("hurwitz", 4, a, digits=DIGITS)
+    for n, ref in enumerate(contour):
         ser = hurwitz_coefficient(n, a, digits=DIGITS)
-        ref = taylor_coefficient_contour("hurwitz", n, a, digits=DIGITS)
         delta = abs(ser.value - ref.value)
         print(
             f"{n:>2} {mpmath.nstr(ser.value, 8):>14} {mpmath.nstr(ser.error_estimate, 3):>10}"

@@ -5,8 +5,10 @@ The main entry points are `hurwitz_coefficient`, `riemann_coefficient` and
 `lerch_coefficient`, which evaluate the exact Stirling/Bernoulli
 coefficient series with minimal-term truncation and report the value
 together with an error estimate and a per-term trace.  The `reference`
-module provides an independent numerical route (Euler-Maclaurin plus
-contour extraction) used to validate the series.
+module provides an independent numerical route used to validate the
+series: `taylor_coefficients` (Euler-Maclaurin in power-series arithmetic,
+or the convergent Lerch sum) gives every n <= n_max in one pass, and
+`taylor_coefficients_contour` is the paper's contour cross-check.
 """
 
 from .coefficients import (
@@ -36,7 +38,8 @@ from .reference import (
     hurwitz_zeta,
     lerch_phi,
     log_gamma_ref,
-    taylor_coefficient_contour,
+    taylor_coefficients,
+    taylor_coefficients_contour,
 )
 from .summation import (
     NonFiniteTermError,
@@ -77,7 +80,8 @@ __all__ = [
     "OracleValue",
     "hurwitz_zeta",
     "lerch_phi",
-    "taylor_coefficient_contour",
+    "taylor_coefficients",
+    "taylor_coefficients_contour",
     "log_gamma_ref",
     "__version__",
 ]

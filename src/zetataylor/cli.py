@@ -28,10 +28,9 @@ from .coefficients import (
     DEFAULT_DIGITS,
     DEFAULT_MAX_TERMS,
     CoefficientQuery,
-    CoefficientResult,
     compute_coefficient,
 )
-from .reference import taylor_coefficient_contour
+from .reference import taylor_coefficients
 from .summation import to_mpf
 from .verification import available_suites, run_suite
 
@@ -79,7 +78,7 @@ class OutputRecord:
     oracle_value: str | None = None
     oracle_delta: str | None = None
 
-    def as_dict(self, include_oracle: bool = False) -> dict:
+    def as_dict(self) -> dict:
         d = {
             "family": self.family,
             "n": self.n,
@@ -92,9 +91,7 @@ class OutputRecord:
             "truncation_index": self.truncation_index,
             "terminated_by": self.terminated_by,
         }
-        if include_oracle or self.oracle_value is not None:
-            # keys appear exactly when --verify ran; null marks a skipped
-            # comparison (reference summation needs |lambda| < 1)
+        if self.oracle_value is not None:  # exactly when --verify ran
             d["oracle_value"] = self.oracle_value
             d["oracle_delta"] = self.oracle_delta
         return d
@@ -145,7 +142,9 @@ def _build_parser(default_digits: int) -> _Parser:
     coeff = sub.add_parser("coeff", help="compute coefficients")
     add_common(coeff)
     coeff.add_argument("--verify", action="store_true",
-                       help="also run the contour reference and compare")
+                       help="also compute every n of the range from the power-series "
+                            "Euler-Maclaurin / Lerch-sum reference and compare; exit 1 "
+                            "if a delta exceeds the combined error estimates")
     coeff.add_argument("--format", choices=["json", "table"], default="json")
 
     trace = sub.add_parser("trace", help="export a per-term summation trace as CSV")
@@ -176,33 +175,27 @@ def _make_queries(args) -> list[CoefficientQuery]:
     ]
 
 
-def _oracle_compare(result: CoefficientResult):
-    q = result.query
-    if q.family == "lerch" and abs(q.lam) >= 1:
-        return None, None  # reference summation needs |lambda| < 1; skip
-    fam = "lerch" if q.family == "lerch" else "hurwitz"
-    oracle = taylor_coefficient_contour(fam, q.n, q.a, q.lam, digits=q.digits)
-    with workdps(q.digits):
-        delta = result.value - oracle.value
-        bound = result.error_estimate + oracle.error_estimate
-        return oracle, (delta, bound)
-
-
 def _cmd_coeff(args) -> int:
     queries = _make_queries(args)
+    oracle = None
+    if args.verify:  # one reference pass gives every n of the range
+        first = queries[0]
+        oracle = taylor_coefficients(
+            first.family, max(args.n), first.a, first.lam, digits=first.digits
+        )
     records = []
     failed = False
     for q in queries:
         result = compute_coefficient(q)
         oracle_value = oracle_delta = None
-        if args.verify:
-            oracle, cmp = _oracle_compare(result)
-            if oracle is not None:
-                delta, bound = cmp
-                oracle_value = _fmt_number(oracle.value, q.digits)
-                oracle_delta = _fmt_number(delta, q.digits)
-                if abs(delta) > bound:
+        if oracle is not None:
+            ref = oracle[q.n]
+            with workdps(q.digits):
+                delta = result.value - ref.value
+                if abs(delta) > result.error_estimate + ref.error_estimate:
                     failed = True
+            oracle_value = _fmt_number(ref.value, q.digits)
+            oracle_delta = _fmt_number(delta, q.digits)
         records.append(
             OutputRecord(
                 family=q.family,
@@ -221,7 +214,7 @@ def _cmd_coeff(args) -> int:
         )
     if args.format == "json":
         for rec in records:
-            print(json.dumps(rec.as_dict(include_oracle=args.verify)))
+            print(json.dumps(rec.as_dict()))
     else:
         head = ["family", "n", "a", "lambda", "value", "error_estimate",
                 "truncation_index", "terminated_by"]
@@ -232,7 +225,7 @@ def _cmd_coeff(args) -> int:
             row = [rec.family, str(rec.n), rec.a, rec.lam or "-", rec.value,
                    rec.error_estimate, str(rec.truncation_index), rec.terminated_by]
             if args.verify:
-                row += [rec.oracle_value or "-", rec.oracle_delta or "-"]
+                row += [rec.oracle_value, rec.oracle_delta]
             rows.append(row)
         widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
         for r in rows:

@@ -1,6 +1,6 @@
 """Independent numerical ground truth for the coefficient series.
 
-Four pieces, none of which touches the Stirling/Bernoulli coefficient
+Five pieces, none of which touches the Stirling/Bernoulli coefficient
 series (the Bernoulli numbers from `exact` are the only shared code, so
 agreement between the two routes is meaningful evidence):
 
@@ -8,10 +8,17 @@ agreement between the two routes is meaningful evidence):
   s != 1, precision-controlled by the cutoff N and correction order J.
 * `lerch_phi` - direct summation of Phi(lam, s, a) for |lam| < 1, where
   geometric decay converges for every s.
-* `taylor_coefficient_contour` - Taylor coefficients at s = 0 extracted by
-  the trapezoidal rule on a circle |s| = r < 1 (the pole at s = 1 stays
-  outside).  The rule converges geometrically in the node count; the
-  reported error estimate is the change when the node count is doubled.
+* `taylor_coefficients` - the Taylor coefficients at s = 0 for all
+  n <= n_max in one pass: Euler-Maclaurin run in truncated power-series
+  arithmetic in s (F. Johansson, Numer. Algorithms 69 (2015),
+  arXiv:1309.2877) for Hurwitz/Riemann, the convergent log-power sum for
+  Lerch with |lam| < 1, and the duplication formula at lam = -1.  This is
+  the reference behind `coeff --verify`.
+* `taylor_coefficients_contour` - the paper's cross-check: coefficients
+  extracted by the trapezoidal rule on a circle |s| = r < 1 (the pole at
+  s = 1 stays outside).  The rule converges geometrically in the node
+  count; the reported error estimate is the change when the node count is
+  doubled.
 * `log_gamma_ref` - log Gamma by argument raising into the large-argument
   Stirling regime, independent of the small-argument series in
   `coefficients.log_gamma_series`.
@@ -25,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -40,7 +46,8 @@ __all__ = [
     "OracleValue",
     "hurwitz_zeta",
     "lerch_phi",
-    "taylor_coefficient_contour",
+    "taylor_coefficients",
+    "taylor_coefficients_contour",
     "log_gamma_ref",
 ]
 
@@ -168,85 +175,199 @@ def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
         return total
 
 
-@lru_cache(maxsize=32)
-def _contour_nodes(family: str, a_key, lam_key, radius: Fraction, M: int, digits: int):
-    """F at the 2M contour nodes r*exp(2*pi*i*j/(2M)), j = 0..2M-1, where
-    F is zeta(., a) or Phi(lam, ., a).  Conjugate symmetry halves the work;
-    returned as a tuple in node order."""
-    cfg = OracleConfig(
-        em_cutoff=digits + 10,
-        em_order=digits // 2 + 10,
-        contour_radius=radius,
-        contour_points=M,
-    )
+def _check_family(family: str, n_max: int, a, lam) -> None:
+    """Reject a (family, n_max, a, lam) outside the reference's domain."""
+    if family not in ("hurwitz", "riemann", "lerch"):
+        raise ValueError(f"unknown family {family!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
+    if not (a > 0 and mpmath.isfinite(a)):
+        raise ValueError("a must be positive and finite")
+    if family == "riemann" and a != 1:
+        raise ValueError("the riemann family fixes a = 1")
+    if family != "lerch":
+        if lam is not None:
+            raise ValueError("lam is only meaningful for the lerch family")
+    elif lam is None:
+        raise ValueError("family lerch requires lam")
+    elif lam == 1:
+        raise ValueError("lambda = 1 is the hurwitz case; use family hurwitz")
+    elif not abs(lam) <= 1:
+        raise ValueError("lerch requires |lambda| <= 1")
+
+
+def _power_jet(log_x, n_max: int) -> list:
+    """Taylor coefficients in s of x^-s = exp(-s log x): (-log x)^k / k!,
+    k = 0..n_max, from log x."""
+    jet = [mpf(1)]
+    for k in range(1, n_max + 1):
+        jet.append(jet[-1] * -log_x / k)
+    return jet
+
+
+def _times(f: list, g: list) -> list:
+    """Product of two jets of equal length, truncated to that length."""
+    return [sum((f[i] * g[k - i] for i in range(k + 1)), mpf(0)) for k in range(len(f))]
+
+
+def _hurwitz_jet(n_max: int, av, cfg: OracleConfig) -> tuple[list, list]:
+    """(coefficients, truncation bounds) of zeta(s, a) through s^n_max:
+    the Euler-Maclaurin formula of `hurwitz_zeta` with every term a jet.
+
+    (m+a)^-s is `_power_jet`; (N+a)^(1-s)/(s-1) = -(N+a) (N+a)^-s / (1-s)
+    is -(N+a) times the prefix sums of the (N+a)^-s jet; each correction
+    multiplies B_2j/(2j)! (N+a)^(1-2j) by the rising factorial (s)_(2j-1),
+    kept as an exact integer jet, and by the (N+a)^-s jet.  The bound is
+    the first omitted correction (j = J + 1) with every factor taken in
+    absolute value."""
+    size = n_max + 1
+    total = [mpf(0)] * size
+    for m in range(cfg.em_cutoff):
+        for k, e in enumerate(_power_jet(mpmath.log(av + m), n_max)):
+            total[k] += e
+    edge = av + cfg.em_cutoff
+    edge_jet = _power_jet(mpmath.log(edge), n_max)
+    prefix = mpf(0)
+    for k in range(size):
+        prefix += edge_jet[k]
+        total[k] += edge_jet[k] / 2 - edge * prefix
+    rising = [1] + [0] * n_max  # (s)_0 = 1
+    built = 0
+    weight = [mpf(0)] * size  # sum_j B_2j/(2j)! (N+a)^(1-2j) (s)_(2j-1)
+    scale = edge
+    inv_edge2 = 1 / (edge * edge)
+    for j in range(1, cfg.em_order + 2):
+        while built < 2 * j - 1:  # (s)_(t+1) = (s)_t * (s + t)
+            rising = [built * rising[0]] + [
+                rising[k - 1] + built * rising[k] for k in range(1, size)
+            ]
+            built += 1
+        scale *= inv_edge2
+        w = to_mpf(bernoulli_number(2 * j) / factorial(2 * j)) * scale
+        if j <= cfg.em_order:
+            for k in range(size):
+                weight[k] += w * rising[k]
+    omitted = [abs(w) * c for c in rising]  # rising has no negative entry
+    values = [t + c for t, c in zip(total, _times(weight, edge_jet))]
+    return values, _times(omitted, [abs(e) for e in edge_jet])
+
+
+def _lerch_jet(n_max: int, lamv, av) -> tuple[list, list]:
+    """(coefficients, tail bounds) of Phi(lam, s, a) = sum_m lam^m (m+a)^-s
+    through s^n_max, for |lam| < 1: c_n = sum_m lam^m (-log(m+a))^n / n!.
+
+    From m + a >= 3 on, every later term of every c_n is below
+    U_m = |lam|^m log(m+a)^n_max, and U_(m+1)/U_m is at most
+    q = |lam| (log(m+a) / log(m+a-1))^n_max (log(x+1)/log(x) falls for
+    x > 1), so the tail after term m is below U_m q / (1 - q).  The sum
+    stops once that is under 10^-(working digits + 2)."""
+    eps = mpf(10) ** (-(mpmath.mp.dps + 2))
+    total = [mpf(0)] * (n_max + 1)
+    pw = mpf(1)  # lam^m
+    m = 0
+    log_prev = None
+    while True:
+        x = av + m
+        log_x = mpmath.log(x)
+        for k, e in enumerate(_power_jet(log_x, n_max)):
+            total[k] += pw * e
+        if log_prev is not None and x >= 3:
+            q = abs(lamv) * (log_x / log_prev) ** n_max
+            if q < 1:
+                tail = abs(pw) * log_x**n_max * q / (1 - q)
+                if tail < eps:
+                    break
+        log_prev = log_x
+        m += 1
+        pw *= lamv
+        if pw == 0:  # lam = 0, or lam^m underflowed
+            tail = mpf(0)
+            break
+    return total, [tail] * (n_max + 1)
+
+
+def taylor_coefficients(
+    family: str, n_max: int, a, lam=None, *, digits: int = 50
+) -> list[OracleValue]:
+    """Taylor coefficients c_0..c_n_max at s = 0 of zeta(s, a) (family
+    "hurwitz", or "riemann" with a = 1) or Phi(lam, s, a) (family "lerch",
+    -1 <= lam < 1), all from one pass at digits + 10 working digits.
+
+    Hurwitz/Riemann run Euler-Maclaurin (cutoff N and order J of
+    `OracleConfig.for_digits`) in truncated power-series arithmetic in s.
+    Lerch with |lam| < 1 sums c_n = sum_m lam^m (-log(m+a))^n / n!
+    directly; lam = -1 uses the duplication formula
+    Phi(-1, s, a) = 2^-s [zeta(s, a/2) - zeta(s, (a+1)/2)].  Each error
+    estimate is the truncation bound (first omitted correction or tail)
+    plus the rounding floor 10^-(digits+2) (1 + |c_n|).
+    """
+    _check_family(family, n_max, a, lam)
+    cfg = OracleConfig.for_digits(digits)
     with workdps(digits + _GUARD_DPS):
-        r = to_mpf(radius)
-        two_m = 2 * M
-        upper = []
-        for j in range(M + 1):
-            node = r * mpmath.expjpi(mpf(2 * j) / two_m)
-            if family == "lerch":
-                upper.append(lerch_phi(lam_key, node, a_key, digits=digits))
-            else:
-                upper.append(hurwitz_zeta(node, a_key, cfg, digits=digits))
-        lower = [mpmath.conj(upper[two_m - j]) for j in range(M + 1, two_m)]
-        return tuple(upper + lower)
+        av = to_mpf(a)
+        if family != "lerch":
+            values, bounds = _hurwitz_jet(n_max, av, cfg)
+        elif lam == -1:
+            upper, upper_bound = _hurwitz_jet(n_max, av / 2, cfg)
+            lower, lower_bound = _hurwitz_jet(n_max, (av + 1) / 2, cfg)
+            two = _power_jet(mpmath.log(2), n_max)
+            values = _times(two, [u - v for u, v in zip(upper, lower)])
+            bounds = _times([abs(t) for t in two],
+                            [u + v for u, v in zip(upper_bound, lower_bound)])
+        else:
+            values, bounds = _lerch_jet(n_max, to_mpf(lam), av)
+        unit = mpf(10) ** (-(digits + 2))
+        return [OracleValue(v, b + unit * (1 + abs(v))) for v, b in zip(values, bounds)]
 
 
-def taylor_coefficient_contour(
+def taylor_coefficients_contour(
     family: str,
-    n: int,
+    n_max: int,
     a,
     lam=None,
     cfg: OracleConfig | None = None,
     *,
     digits: int = 50,
-) -> OracleValue:
-    """n-th Taylor coefficient at s = 0 of zeta(s, a) (family "hurwitz" or
-    "riemann") or Phi(lam, s, a) (family "lerch", |lam| < 1), via the
-    trapezoidal rule on |s| = r:
+) -> list[OracleValue]:
+    """Taylor coefficients c_0..c_n_max at s = 0 of zeta(s, a) (family
+    "hurwitz" or "riemann") or Phi(lam, s, a) (family "lerch", |lam| < 1),
+    via the trapezoidal rule on |s| = r:
 
         c_n ~ (1/M) sum_j F(r e^(2 pi i j / M)) e^(-2 pi i j n / M) / r^n
 
-    The error estimate is the change under doubling the node count, plus a
-    rounding floor.  Node values are cached per (family, a, lam, radius,
-    node count, digits), so extracting many n for one function is cheap.
+    One pass evaluates F at the 2M nodes r*exp(2*pi*i*j/(2M)) (conjugate
+    symmetry halves the work) and reads every n off them.  Each error
+    estimate is the change from M to 2M nodes, plus a rounding floor.
     """
-    if family not in ("hurwitz", "riemann", "lerch"):
-        raise ValueError(f"unknown family {family!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if family == "riemann" and a != 1:
-        raise ValueError("the riemann family fixes a = 1")
+    _check_family(family, n_max, a, lam)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
-    radius = (
-        cfg.contour_radius
-        if isinstance(cfg.contour_radius, Fraction)
-        else Fraction(cfg.contour_radius)
-    )
-    lam_key = None
-    if family == "lerch":
-        if lam is None:
-            raise ValueError("family lerch requires lam")
-        lam_key = Fraction(lam) if isinstance(lam, (int, Fraction)) else to_mpf(lam)
-    a_key = Fraction(a) if isinstance(a, (int, Fraction)) else to_mpf(a)
     M = cfg.contour_points
-    values = _contour_nodes(family, a_key, lam_key, radius, M, digits)
+    two_m = 2 * M
     with workdps(digits + _GUARD_DPS):
-        r = to_mpf(radius)
-        two_m = 2 * M
-        rn = r**n
-        fine = mpc(0)
-        for j in range(two_m):
-            fine += values[j] * mpmath.expjpi(mpf(-2 * j * n) / two_m)
-        fine /= two_m * rn
-        coarse = mpc(0)
-        for j in range(M):
-            coarse += values[2 * j] * mpmath.expjpi(mpf(-2 * j * n) / M)
-        coarse /= M * rn
-        floor = mpf(10) ** (-(digits + 2)) * (1 + abs(fine))
-        return OracleValue(fine.real, abs(fine - coarse) + floor)
+        r = to_mpf(Fraction(cfg.contour_radius))
+        upper = []
+        for j in range(M + 1):
+            node = r * mpmath.expjpi(mpf(2 * j) / two_m)
+            if family == "lerch":
+                upper.append(lerch_phi(lam, node, a, digits=digits))
+            else:
+                upper.append(hurwitz_zeta(node, a, cfg, digits=digits))
+        values = upper + [mpmath.conj(upper[two_m - j]) for j in range(M + 1, two_m)]
+        out = []
+        for n in range(n_max + 1):
+            rn = r**n
+            fine = mpc(0)
+            for j in range(two_m):
+                fine += values[j] * mpmath.expjpi(mpf(-2 * j * n) / two_m)
+            fine /= two_m * rn
+            coarse = mpc(0)
+            for j in range(M):
+                coarse += values[2 * j] * mpmath.expjpi(mpf(-2 * j * n) / M)
+            coarse /= M * rn
+            floor = mpf(10) ** (-(digits + 2)) * (1 + abs(fine))
+            out.append(OracleValue(fine.real, abs(fine - coarse) + floor))
+        return out
 
 
 def log_gamma_ref(a, *, digits: int = 50) -> mpf:

@@ -309,26 +309,38 @@ def check_lerch_negative_integers(digits):
     return ok, f"max delta={_fmt(worst)} (tol {_fmt(tol)})"
 
 
-def check_contour_vs_series(digits):
+def check_series_vs_jet(digits):
     ok = True
     details = []
     with workdps(digits):
         for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            jet = reference.taylor_coefficients("hurwitz", 4, a, digits=digits)
             for n in range(5):
                 ser = coeffs.hurwitz_coefficient(n, a, digits=digits)
-                orc = reference.taylor_coefficient_contour("hurwitz", n, a, digits=digits)
-                delta = abs(ser.value - orc.value)
-                bound = ser.error_estimate + orc.error_estimate
-                ok = ok and delta <= bound
+                delta = abs(ser.value - jet[n].value)
+                ok = ok and delta <= ser.error_estimate + jet[n].error_estimate
             details.append(f"a={a}:n<=4 ok")
+        jet = reference.taylor_coefficients("lerch", 1, 1, Fraction(1, 2), digits=digits)
         for n in (0, 1):
             ser = coeffs.lerch_coefficient(n, 1, Fraction(1, 2), digits=digits)
-            orc = reference.taylor_coefficient_contour(
-                "lerch", n, 1, Fraction(1, 2), digits=digits
-            )
-            ok = ok and abs(ser.value - orc.value) <= ser.error_estimate + orc.error_estimate
+            ok = ok and abs(ser.value - jet[n].value) <= ser.error_estimate + jet[n].error_estimate
         details.append("lerch n<=1 ok")
     return ok, " ".join(details) if ok else "series/reference disagreement"
+
+
+def check_contour_vs_jet(digits):
+    # the paper's cross-check: one contour pass per function
+    worst = mpf(0)
+    cases = [("hurwitz", a, None) for a in (Fraction(1, 2), Fraction(1), Fraction(2))]
+    cases.append(("lerch", Fraction(1), Fraction(1, 2)))
+    with workdps(digits):
+        for family, a, lam in cases:
+            contour = reference.taylor_coefficients_contour(family, 4, a, lam, digits=digits)
+            jet = reference.taylor_coefficients(family, 4, a, lam, digits=digits)
+            for c, j in zip(contour, jet):
+                worst = max(worst, abs(c.value - j.value) / (c.error_estimate + j.error_estimate))
+        ok = worst <= 1
+    return ok, f"max |delta|/bound={_fmt(worst)} over {len(cases)} functions, n<=4"
 
 
 def check_contour_stability(digits):
@@ -342,10 +354,10 @@ def check_contour_stability(digits):
             cfg_b = reference.OracleConfig(
                 digits + 10, digits // 2 + 10, Fraction(1, 2), 128
             )
-            for n in range(7):
-                va = reference.taylor_coefficient_contour("hurwitz", n, a, cfg=cfg_a, digits=digits)
-                vb = reference.taylor_coefficient_contour("hurwitz", n, a, cfg=cfg_b, digits=digits)
-                worst = max(worst, abs(va.value - vb.value))
+            va = reference.taylor_coefficients_contour("hurwitz", 6, a, cfg=cfg_a, digits=digits)
+            vb = reference.taylor_coefficients_contour("hurwitz", 6, a, cfg=cfg_b, digits=digits)
+            for x, y in zip(va, vb):
+                worst = max(worst, abs(x.value - y.value))
         ok = worst <= tol
     return ok, f"radius 1/4 vs 1/2: max delta={_fmt(worst)}"
 
@@ -397,7 +409,8 @@ SUITES = {
         ("em_negative_integers", check_em_negative_integers),
         ("em_doubling_stability", check_em_doubling),
         ("lerch_negative_integers", check_lerch_negative_integers),
-        ("contour_vs_series", check_contour_vs_series),
+        ("series_vs_jet", check_series_vs_jet),
+        ("contour_vs_jet", check_contour_vs_jet),
         ("contour_stability", check_contour_stability),
         ("loggamma_reference", check_loggamma_ref),
     ],
@@ -410,7 +423,10 @@ def available_suites() -> tuple[str, ...]:
 
 def run_suite(name: str, digits: int, out) -> bool:
     """Run one suite (or 'all'); print one line per check to `out`.
-    Returns True iff every check passed."""
+    Returns True iff every check passed.  Raises ValueError below 15
+    digits, the precision floor of every coefficient query."""
+    if digits < 15:
+        raise ValueError("precision must be at least 15 digits")
     if name == "all":
         ok = True
         for sub in SUITES:

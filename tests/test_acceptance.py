@@ -30,7 +30,7 @@ from zetataylor.reference import (
     hurwitz_zeta,
     lerch_phi,
     log_gamma_ref,
-    taylor_coefficient_contour,
+    taylor_coefficients_contour,
 )
 from zetataylor.summation import to_mpf
 
@@ -114,9 +114,10 @@ def test_criterion_6_series_vs_contour_n_le_4():
     t0 = time.perf_counter()
     checked = 0
     for a in (Fraction(1, 2), 1, 2):
+        contour = taylor_coefficients_contour("hurwitz", 4, a, digits=50)
         for n in range(5):
             ser = hurwitz_coefficient(n, a, digits=50)
-            orc = taylor_coefficient_contour("hurwitz", n, a, digits=50)
+            orc = contour[n]
             delta = abs(ser.value - orc.value)
             bound = ser.error_estimate + orc.error_estimate
             assert delta <= bound, f"(n={n}, a={a}): {delta} > {bound}"

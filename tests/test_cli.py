@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -69,15 +70,50 @@ def test_coeff_verify_riemann_passes(capsys):
         assert abs(mpf(rec["oracle_delta"])) <= mpf(rec["error_estimate"]) * mpf(1.01)
 
 
-def test_coeff_verify_skips_unit_circle_lambda(capsys):
+def test_coeff_verify_unit_circle_lambda_uses_duplication(capsys):
+    # lambda = -1 has no convergent direct sum; the reference goes through
+    # Phi(-1, s, a) = 2^-s [zeta(s, a/2) - zeta(s, (a+1)/2)], here the
+    # Dirichlet eta function with eta(0) = 1/2, eta'(0) = log(pi/2)/2
     code, out, _ = run_cli(
-        capsys, "coeff", "--family", "lerch", "--a", "1", "--lambda", "-1",
-        "--n", "0", "--digits", "30", "--verify",
+        capsys, "coeff", "--family=lerch", "--a=1", "--lambda=-1", "--n=0", "--verify",
     )
     assert code == 0
-    rec = json.loads(out.strip())
-    assert rec["oracle_value"] is None  # comparison skipped on |lambda| = 1
-    assert rec["oracle_delta"] is None
+    assert json.loads(out)["oracle_value"] == "0.5"
+    code, out, _ = run_cli(
+        capsys, "coeff", "--family=lerch", "--a=1", "--lambda=-1", "--n=0..1", "--verify",
+    )
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in recs] == [0, 1]
+    with mpmath.workdps(60):
+        want = [mpf("0.5"), mpmath.log(mpmath.pi / 2) / 2]
+        for r, w in zip(recs, want):
+            assert abs(mpf(r["oracle_value"]) - w) <= mpf("1e-48")
+        # the exit code follows the deltas: the series' n = 1 value at
+        # negative lambda lies outside its own estimate today
+        beyond = [abs(mpf(r["oracle_delta"])) > mpf(r["error_estimate"]) * mpf(1.01)
+                  for r in recs]
+    assert code == (1 if any(beyond) else 0)
+
+
+def test_coeff_verify_range_uses_one_reference_pass(capsys, monkeypatch):
+    from zetataylor import cli
+
+    calls = []
+    real = cli.taylor_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "taylor_coefficients", counted)
+    code, out, _ = run_cli(
+        capsys, "coeff", "--family=lerch", "--a=1", "--lambda=1/2", "--n=2..4", "--verify"
+    )
+    assert code == 0
+    assert calls == [("lerch", 4, 1, Fraction(1, 2))]
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in recs] == [2, 3, 4]
+    assert all(isinstance(r["oracle_value"], str) for r in recs)
 
 
 def test_coeff_without_verify_omits_oracle_fields(capsys):
@@ -216,6 +252,13 @@ def test_verify_identities_suite(capsys):
     lines = out.strip().splitlines()
     assert all(l.startswith("PASS") for l in lines[:-1])
     assert "all checks passed" in lines[-1]
+
+
+def test_verify_rejects_low_precision(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite=identities", "--digits=5")
+    assert code == 2
+    assert out == ""
+    assert "at least 15 digits" in err
 
 
 def test_verify_output_deterministic(capsys):
