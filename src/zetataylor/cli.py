@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -52,11 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # bad flags -> 64, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 @dataclass(frozen=True)
@@ -79,21 +76,9 @@ class OutputRecord:
     oracle_delta: str | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "n": self.n,
-            "a": self.a,
-            "lambda": self.lam,
-            "digits": self.digits,
-            "max_terms": self.max_terms,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "truncation_index": self.truncation_index,
-            "terminated_by": self.terminated_by,
-        }
-        if self.oracle_value is not None:  # exactly when --verify ran
-            d["oracle_value"] = self.oracle_value
-            d["oracle_delta"] = self.oracle_delta
+        d = {"lambda" if k == "lam" else k: v for k, v in asdict(self).items()}
+        if self.oracle_value is None:  # the oracle fields exist exactly when --verify ran
+            del d["oracle_value"], d["oracle_delta"]
         return d
 
 
@@ -170,7 +155,8 @@ def _make_queries(args) -> list[CoefficientQuery]:
     if family != "lerch" and lam is not None:
         raise ValueError("--lambda is only meaningful for the lerch family")
     return [
-        CoefficientQuery(family, n, a, lam, args.digits, args.max_terms, trace=True)
+        CoefficientQuery(family, n, a, lam, args.digits, args.max_terms,
+                         trace=args.command == "trace")
         for n in args.n
     ]
 

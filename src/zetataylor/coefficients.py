@@ -17,17 +17,22 @@ with Apostol-Bernoulli values beta and no constant offset.
 Both polynomial families are Appell sequences (`exact.appell_row`), so
 every series here, the n = 1, 2 and log-gamma variants included, has terms
 weight(k) * P_{k+1}(x) from the one generator `_terms`; only the weight
-differs.  The "-1" is an exact offset applied outside the summation engine,
+differs, so the values P_{k+1}(x) are computed once per point and shared
+by every n through a value table of at most 16 lists, least recently used
+out.  The "-1" is an exact offset applied outside the summation engine,
 so traces show the series itself and error estimates describe only the
-series.  For rational a (and lam) every term is an exact Fraction converted
-to mpf once; otherwise the exact polynomial coefficients are evaluated by
-Horner at working precision.  Both choices maximize cancellation fidelity,
-which matters in an asymptotic series.
+series.  For rational a (and lam) the values are exact Fractions, keyed
+(x, lam), and every term is converted to mpf once; otherwise the exact
+rows are evaluated by Horner at working precision, keyed (x, lam,
+precision).  Both choices maximize cancellation fidelity, which matters in
+an asymptotic series.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -35,13 +40,13 @@ from math import factorial
 from typing import Callable, Iterator
 
 import mpmath
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps
 
 from .exact import (
     appell_row,
+    appell_value,
     exp_polynomial_coeffs,
     harmonic_number,
-    horner,
     stirling1,
     stirling2,
 )
@@ -173,6 +178,12 @@ class CoefficientResult:
         return self.series.error_estimate
 
 
+# The value table of the module docstring; its lists grow only under the lock.
+_VALUE_LISTS = 16
+_values: OrderedDict = OrderedDict()
+_values_lock = threading.Lock()
+
+
 def _terms(
     weight: Callable[[int], Fraction], x, lam: Fraction | None, start: int
 ) -> Iterator:
@@ -183,13 +194,19 @@ def _terms(
     exact = _is_rational(x)
     if not exact:
         x = to_mpf(x)
+    key = (x, lam) if exact else (x, lam, mp.prec)
+    with _values_lock:
+        values = _values.setdefault(key, [])
+        _values.move_to_end(key)
+        if len(_values) > _VALUE_LISTS:
+            _values.popitem(last=False)
     k = start
     while True:
-        row = appell_row(k + 1, lam)
-        if exact:
-            yield weight(k) * horner(row, x)
-        else:
-            yield to_mpf(weight(k)) * eval_polynomial(row, x)
+        with _values_lock:
+            for m in range(len(values), k + 2):
+                values.append(appell_value(m, x, lam) if exact
+                              else eval_polynomial(appell_row(m, lam), x))
+        yield weight(k) * values[k + 1] if exact else to_mpf(weight(k)) * values[k + 1]
         k += 1
 
 
@@ -360,7 +377,7 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
         lhs = mpf(0)
         weight = mpf(1)  # x^k / k!
         for k in range(K + 1):
-            lhs += to_mpf(horner(coeffs, k)) * weight
+            lhs += to_mpf(sum(c * k**p for p, c in enumerate(coeffs))) * weight
             weight = weight * xv / (k + 1)
         rhs = mpf(0)
         for m, am in enumerate(coeffs):
@@ -397,9 +414,8 @@ def system_residual(
         raise ValueError("system_residual supports the hurwitz and lerch families")
     with workdps(digits):
         def coeff(n: int) -> CoefficientResult:
-            if family == "hurwitz":
-                return hurwitz_coefficient(n, a, digits=digits, max_terms=max_terms)
-            return lerch_coefficient(n, a, lam, digits=digits, max_terms=max_terms)
+            lam_n = lam if family == "lerch" else None
+            return compute_coefficient(CoefficientQuery(family, n, a, lam_n, digits, max_terms))
 
         first = coeff(k)
         top = N if N is not None else max(k, first.series.truncation_index)

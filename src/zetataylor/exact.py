@@ -10,8 +10,9 @@ the exact coefficient tuples (`appell_row`) and do the final Horner step in
 floating point.
 
 All caches grow under a lock, so concurrent callers always observe values
-identical to a fresh recomputation; only the per-lam Apostol-Bernoulli
-families are bounded (least recently used out).
+identical to a fresh recomputation.  The Appell cache holds only numbers:
+rows and values (`appell_value`, integer arithmetic) are built from them on
+each call, and at most 8 Apostol-Bernoulli families are kept.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 __all__ = [
     "StirlingTable",
@@ -28,7 +29,7 @@ __all__ = [
     "exp_polynomial_coeffs",
     "bernoulli_number",
     "appell_row",
-    "horner",
+    "appell_value",
     "bernoulli_polynomial",
     "bernoulli_polynomial_coeffs",
     "apostol_bernoulli",
@@ -121,33 +122,39 @@ def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
 #   (lam - 1)*b_m + lam * sum_{j<m} C(m, j)*b_j = [m = 1],
 #
 # so b_0 = 0 and Apostol row m has length m (row 0 is (0,)).  One cache holds
-# each family's numbers and rows C(m, p)*b_(m-p): Bernoulli stays, at most
-# _APPELL_LAMBDAS Apostol families are kept, least recently used out.
+# each family's numbers: Bernoulli stays, at most _APPELL_LAMBDAS Apostol
+# families are kept, least recently used out.
 _APPELL_LAMBDAS = 8
-_appell: OrderedDict = OrderedDict({None: ([Fraction(1)], [])})
+_appell: OrderedDict = OrderedDict({None: [Fraction(1)]})
 _appell_lock = threading.Lock()
 
 
-def _family(lam: Fraction | None, n: int) -> tuple[list[Fraction], list[tuple]]:
-    """(numbers, rows) of one family, numbers grown through b_n, marked most
-    recently used.  The caller holds the lock."""
-    if lam in _appell:
-        _appell.move_to_end(lam)
-    else:
-        _appell[lam] = ([], [])
-        if len(_appell) > _APPELL_LAMBDAS + 1:
-            del _appell[next(key for key in _appell if key is not None)]
-    numbers, rows = _appell[lam]
-    for m in range(len(numbers), n + 1):
-        if lam is None:  # sum_{j<=m} C(m+1, j) B_j = 0; odd B_m vanish for m > 1
-            numbers.append(
-                Fraction(0) if m > 2 and m % 2 == 1
-                else -sum(comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1)
-            )
+def _numbers(n: int, lam: RationalLike | None) -> list[Fraction]:
+    """b_0..b_n (at least) of the family of lam (None: Bernoulli), made most recently used."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if lam is not None:
+        lam = Fraction(lam)
+        if lam == 1:
+            raise ValueError("apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial")
+    with _appell_lock:
+        if lam in _appell:
+            _appell.move_to_end(lam)
         else:
-            acc = sum(comb(m, j) * numbers[j] for j in range(m))
-            numbers.append((int(m == 1) - lam * acc) / (lam - 1))
-    return numbers, rows
+            _appell[lam] = []
+            if len(_appell) > _APPELL_LAMBDAS + 1:
+                del _appell[next(key for key in _appell if key is not None)]
+        numbers = _appell[lam]
+        for m in range(len(numbers), n + 1):
+            if lam is None:  # sum_{j<=m} C(m+1, j) B_j = 0; odd B_m vanish for m > 1
+                numbers.append(
+                    Fraction(0) if m > 2 and m % 2 == 1
+                    else -sum(comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1)
+                )
+            else:
+                acc = sum(comb(m, j) * numbers[j] for j in range(m))
+                numbers.append((int(m == 1) - lam * acc) / (lam - 1))
+        return numbers
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -157,38 +164,29 @@ def bernoulli_number(n: int) -> Fraction:
     memoized; no floating-point shortcut is used since these feed a
     delicately cancelling asymptotic series.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    with _appell_lock:
-        return _family(None, n)[0][n]
+    return _numbers(n, None)[n]
 
 
 def appell_row(m: int, lam: RationalLike | None = None) -> tuple[Fraction, ...]:
     """Exact coefficients (ascending powers of x) of B_m(x) for lam None,
     else of the Apostol-Bernoulli value beta_m(x, lam), lam != 1."""
-    if m < 0:
-        raise ValueError("n must be non-negative")
-    if lam is not None:
-        lam = Fraction(lam)
-        if lam == 1:
-            raise ValueError(
-                "apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial"
-            )
-    with _appell_lock:
-        numbers, rows = _family(lam, m)
-        for r in range(len(rows), m + 1):
-            width = r + 1 if lam is None else r
-            rows.append(tuple(comb(r, p) * numbers[r - p] for p in range(width)) or (Fraction(0),))
-        return rows[m]
+    numbers = _numbers(m, lam)
+    width = m + 1 if lam is None else m
+    return tuple(comb(m, p) * numbers[m - p] for p in range(width)) or (Fraction(0),)
 
 
-def horner(coeffs, x: RationalLike) -> Fraction:
-    """Exact value at rational x of the polynomial with ascending
-    coefficients `coeffs`."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def appell_value(m: int, x: RationalLike, lam: RationalLike | None = None) -> Fraction:
+    """P_m(x) of the family of `appell_row` at rational x, exact, in integer
+    arithmetic: with x = u/v, b_j = N_j/D_j and L = lcm(D_j),
+    P_m(x) = sum_j C(m, j) N_j (L/D_j) u^(m-j) v^j / (L v^m)."""
+    numbers = _numbers(m, lam)[: m + 1]
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    L = lcm(*(b.denominator for b in numbers))
+    acc = 0
+    for j, b in enumerate(numbers):  # homogeneous Horner in (u, v)
+        acc = acc * u + comb(m, j) * b.numerator * (L // b.denominator) * v**j
+    return Fraction(acc, L * v**m)
 
 
 def bernoulli_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
@@ -198,7 +196,7 @@ def bernoulli_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:
 
 def bernoulli_polynomial(n: int, x: RationalLike) -> Fraction:
     """B_n(x) at a rational point, exact."""
-    return horner(appell_row(n), x)
+    return appell_value(n, x)
 
 
 def apostol_bernoulli_coeffs(n: int, lam: RationalLike) -> tuple[Fraction, ...]:
@@ -209,7 +207,7 @@ def apostol_bernoulli_coeffs(n: int, lam: RationalLike) -> tuple[Fraction, ...]:
 def apostol_bernoulli(n: int, a: RationalLike, lam: RationalLike) -> Fraction:
     """Apostol-Bernoulli value beta_n(a, lam) at rational (a, lam), exact.
     Raises for lam = 1, where the family degenerates to B_n."""
-    return horner(appell_row(n, lam), a)
+    return appell_value(n, a, lam)
 
 
 _harmonic_cache: list[Fraction] = [Fraction(0)]

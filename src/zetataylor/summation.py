@@ -41,6 +41,7 @@ from typing import Iterable, Literal, Sequence
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import MPZ, dps_to_prec, fzero, mpf_add, mpf_mul
 
 __all__ = [
     "TraceRecord",
@@ -56,6 +57,31 @@ _CONVERSION_GUARD_DPS = 10
 TerminationReason = Literal["minimal_term", "converged", "max_terms"]
 
 
+def _round(man: int, shift: int, sticky: bool = False) -> int:
+    """man / 2^shift (shift >= 0) to nearest, ties to even, as mpmath rounds;
+    sticky marks a nonzero remainder below the last bit of man."""
+    t = man >> (shift - 1) if shift else man << 1
+    return (t >> 1) + bool(t & 1 and (t & 2 or sticky or man & ((1 << (shift - 1)) - 1)))
+
+
+def _ratio_mpf(p: int, q: int) -> tuple:
+    """Raw mpf of p/q (q > 1), computed in integers with the roundings of
+    `+(mpf(p) / q)` where the division runs under
+    `extradps(_CONVERSION_GUARD_DPS)`: p and the quotient to the guarded
+    precision, then the quotient to the working one."""
+    wp = dps_to_prec(mp.dps + _CONVERSION_GUARD_DPS)
+    e = max(0, abs(p).bit_length() - wp)
+    m = _round(abs(p), e)
+    k = wp + 2 + q.bit_length() - m.bit_length()  # a quotient of >= wp + 1 bits
+    quot, rem = divmod(m << k, q)
+    s = max(0, quot.bit_length() - wp)
+    m = _round(quot, s, rem != 0)
+    t = max(0, m.bit_length() - mp.prec)
+    m = _round(m, t)
+    tz = (m & -m).bit_length() - 1
+    return (int(p < 0), MPZ(m >> tz), e - k + s + t + tz, (m >> tz).bit_length())
+
+
 def to_mpf(x) -> mpf:
     """Convert x (int, Fraction, str, float, mpf) to mpf at the current
     working precision.  Fraction conversion is done with guard digits so
@@ -63,9 +89,7 @@ def to_mpf(x) -> mpf:
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return mpmath.mpf(x.numerator)
-        with mpmath.extradps(_CONVERSION_GUARD_DPS):
-            v = mpmath.mpf(x.numerator) / x.denominator
-        return +v
+        return mp.make_mpf(_ratio_mpf(x.numerator, x.denominator))
     if isinstance(x, int):
         return mpmath.mpf(x)
     return +mpmath.mpmathify(x)
@@ -74,12 +98,14 @@ def to_mpf(x) -> mpf:
 def eval_polynomial(coeffs: Sequence, x) -> mpf:
     """Horner evaluation at working precision of a polynomial given by
     ascending coefficients (exact coefficients are converted at full
-    precision). Empty coefficient list evaluates to 0."""
-    xv = to_mpf(x)
-    acc = mpf(0)
+    precision), rounded as `acc * x + c` but on raw mpf values. Empty
+    coefficient list evaluates to 0."""
+    xv = to_mpf(x)._mpf_
+    prec, rnd = mp._prec_rounding
+    acc = fzero
     for c in reversed(coeffs):
-        acc = acc * xv + to_mpf(c)
-    return acc
+        acc = mpf_add(mpf_mul(acc, xv, prec, rnd), to_mpf(c)._mpf_, prec, rnd)
+    return mp.make_mpf(acc)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,29 @@ def test_coeff_verify_range_uses_one_reference_pass(capsys, monkeypatch):
     assert all(isinstance(r["oracle_value"], str) for r in recs)
 
 
+def test_only_trace_command_records_terms(tmp_path, capsys, monkeypatch):
+    from zetataylor import cli
+
+    seen = []
+    real = cli.compute_coefficient
+
+    def recorded(query):
+        seen.append((query.n, query.trace))
+        return real(query)
+
+    monkeypatch.setattr(cli, "compute_coefficient", recorded)
+    code, _, _ = run_cli(capsys, "coeff", "--family=riemann", "--n=0..2", "--digits=20")
+    assert code == 0
+    assert seen == [(0, False), (1, False), (2, False)]
+    seen.clear()
+    code, _, _ = run_cli(
+        capsys, "trace", "--family=riemann", "--n=1", "--digits=20",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    assert seen == [(1, True)]
+
+
 def test_coeff_without_verify_omits_oracle_fields(capsys):
     code, out, _ = run_cli(
         capsys, "coeff", "--family", "hurwitz", "--a", "2", "--n", "0", "--digits", "20"

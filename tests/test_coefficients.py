@@ -1,5 +1,6 @@
 """Coefficient series: closed forms, cross-path consistency, diagnostics."""
 
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mpf, workdps
 
+from zetataylor import coefficients
 from zetataylor.coefficients import (
     CoefficientQuery,
     etf_check,
@@ -356,3 +358,90 @@ def test_system_residual_lerch():
 def test_system_residual_rejects_other_families():
     with pytest.raises(ValueError):
         system_residual("riemann", 1, k=0)
+
+
+# ------------------------- shared value table --------------------------
+
+# Bits of every run n = 0..6, recorded before the value table existed:
+# per (family, a, lam, digits), the first 16 hex digits of the sha256 of
+# repr([(value._mpf_, error_estimate._mpf_, truncation_index,
+# terminated_by), ...]) with the mpf fields as int tuples.
+BITS_A = {"1": 1, "7/5": Fraction(7, 5), "mpf0.8": mpf(0.8)}
+BITS_LAM = {None: None, "-1": Fraction(-1), "-5/6": Fraction(-5, 6), "1/3": Fraction(1, 3),
+            "mpf-0.41": mpf(-0.41), "mpf0.73": mpf(0.73)}
+RUN_BITS = {
+    ("riemann", "1", None, 30): "111ddee1717c65f7",
+    ("hurwitz", "7/5", None, 30): "55bb73cebb96ddcd",
+    ("lerch", "7/5", "-1", 30): "10c962868cb39406",
+    ("lerch", "7/5", "-5/6", 30): "9dbbf7227716ec62",
+    ("lerch", "7/5", "1/3", 30): "d508a902cb5d10e0",
+    ("lerch", "7/5", "mpf-0.41", 30): "f6c049d7810441f7",
+    ("lerch", "7/5", "mpf0.73", 30): "77beb6997c3357a4",
+    ("hurwitz", "mpf0.8", None, 30): "87291791ca15cc47",
+    ("lerch", "mpf0.8", "-1", 30): "e4aa1a31ee1a73ab",
+    ("lerch", "mpf0.8", "-5/6", 30): "d611ce936f334603",
+    ("lerch", "mpf0.8", "1/3", 30): "d70802cc2a10c5a5",
+    ("lerch", "mpf0.8", "mpf-0.41", 30): "a84fb72a62899fa2",
+    ("lerch", "mpf0.8", "mpf0.73", 30): "c0e314afed9c2ad6",
+    ("riemann", "1", None, 50): "6d298b6d6cd9a376",
+    ("hurwitz", "7/5", None, 50): "632ec8261e0ac844",
+    ("lerch", "7/5", "-1", 50): "5478bc57363568b4",
+    ("lerch", "7/5", "-5/6", 50): "e515e25e4405a9aa",
+    ("lerch", "7/5", "1/3", 50): "17daeb27d4d82f08",
+    ("lerch", "7/5", "mpf-0.41", 50): "09e34d9456d6907b",
+    ("lerch", "7/5", "mpf0.73", 50): "34a8d306aa1965e6",
+    ("hurwitz", "mpf0.8", None, 50): "a5b0d7d0b4544b20",
+    ("lerch", "mpf0.8", "-1", 50): "6e0447a5388a4b98",
+    ("lerch", "mpf0.8", "-5/6", 50): "c2dc99621895a546",
+    ("lerch", "mpf0.8", "1/3", 50): "69eae25a5a864128",
+    ("lerch", "mpf0.8", "mpf-0.41", 50): "a44f6834bdd0cc59",
+    ("lerch", "mpf0.8", "mpf0.73", 50): "1e495eea76d46931",
+    ("riemann", "1", None, 100): "2c908cfb4561280e",
+    ("hurwitz", "7/5", None, 100): "44cd089c1d05d83e",
+    ("lerch", "7/5", "-1", 100): "0244e7b3f1f8cdcf",
+    ("lerch", "7/5", "-5/6", 100): "d38e9b7e93732eb9",
+    ("lerch", "7/5", "1/3", 100): "9d51b0f80ab74a30",
+    ("lerch", "7/5", "mpf-0.41", 100): "ce7a2c7151dfa79b",
+    ("lerch", "7/5", "mpf0.73", 100): "10cb51625672b610",
+    ("hurwitz", "mpf0.8", None, 100): "38abc51e9e6afb02",
+    ("lerch", "mpf0.8", "-1", 100): "03c017aac8420642",
+    ("lerch", "mpf0.8", "-5/6", 100): "2e4b093b209b8660",
+    ("lerch", "mpf0.8", "1/3", 100): "006b69fde142c04a",
+    ("lerch", "mpf0.8", "mpf-0.41", 100): "81213c4798d4b2ff",
+    ("lerch", "mpf0.8", "mpf0.73", 100): "818d1b3d03582ac7",
+}
+
+
+def _run_result(run, n):
+    family, a, lam, digits = run
+    a, lam = BITS_A[a], BITS_LAM[lam]
+    if family == "riemann":
+        res = riemann_coefficient(n, digits=digits)
+    elif family == "hurwitz":
+        res = hurwitz_coefficient(n, a, digits=digits)
+    else:
+        res = lerch_coefficient(n, a, lam, digits=digits)
+    s = res.series
+    return (tuple(map(int, res.value._mpf_)), tuple(map(int, s.error_estimate._mpf_)),
+            s.truncation_index, s.terminated_by)
+
+
+def _bits(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def test_value_table_keeps_bits_in_any_order():
+    coefficients._values.clear()
+    runs = list(RUN_BITS)
+    ascending = {run: [_run_result(run, n) for n in range(7)] for run in runs}
+    descending = {run: [_run_result(run, n) for n in range(6, -1, -1)][::-1] for run in runs}
+    # one n of every run before the next n: more runs than the table keeps
+    interleaved = {run: [] for run in runs}
+    for n in range(7):
+        for run in runs[::-1]:
+            interleaved[run].append(_run_result(run, n))
+    for run, want in RUN_BITS.items():
+        assert _bits(ascending[run]) == want, run
+        assert descending[run] == ascending[run], run
+        assert interleaved[run] == ascending[run], run
+    assert len(coefficients._values) <= coefficients._VALUE_LISTS

@@ -3,6 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -10,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from zetataylor import exact
+from zetataylor import coefficients, exact
 from zetataylor.coefficients import fraction_from_mpf
 from zetataylor.exact import (
     StirlingTable,
     apostol_bernoulli,
     apostol_bernoulli_coeffs,
+    appell_row,
     bernoulli_number,
     bernoulli_polynomial,
     bernoulli_polynomial_coeffs,
     exp_polynomial_coeffs,
     harmonic_number,
-    horner,
     stirling1,
     stirling2,
 )
@@ -297,10 +298,19 @@ def test_bernoulli_rows_are_binomial_times_numbers():
         assert all(type(c) is Fraction for c in row)
 
 
-def test_horner_exact():
-    assert horner((Fraction(1), Fraction(-2), Fraction(3)), Fraction(1, 2)) == Fraction(3, 4)
-    assert horner((), 5) == 0
-    assert horner((Fraction(1, 3), 2), 4) == Fraction(25, 3)
+def test_appell_value_is_the_row_at_x():
+    # the integer evaluation against the exact sum of the row's terms
+    points = [0, 3, Fraction(-2, 7), Fraction(5, 3), fraction_from_mpf(mpf(-0.41))]
+    for lam in (None, Fraction(-1), Fraction(2, 9), fraction_from_mpf(mpf(0.73))):
+        for m in range(25):
+            for x in points:
+                got = exact.appell_value(m, x, lam)
+                assert type(got) is Fraction
+                assert got == sum(c * Fraction(x) ** p for p, c in enumerate(appell_row(m, lam)))
+    with pytest.raises(ValueError):
+        exact.appell_value(-1, 1)
+    with pytest.raises(ValueError):
+        exact.appell_value(3, 1, 1)
 
 
 def test_apostol_coeffs_degree():
@@ -322,19 +332,37 @@ def test_harmonic_examples():
 
 
 def test_caches_are_consistent_under_threads():
-    # more lambdas than the Apostol cache keeps, so rows are evicted and
-    # rebuilt while other threads read them
+    # more lambdas than the Apostol cache keeps, so families are evicted and
+    # rebuilt while other threads read them; more (x, lam) keys than the
+    # value table keeps, so its lists are evicted and rebuilt too, and each
+    # thread asks the starts in its own order, so lists grow from either end
     lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
+    keys = [(x, lam) for x in (Fraction(-2, 7), Fraction(3, 5)) for lam in [None] + lams]
+    assert len(keys) > coefficients._VALUE_LISTS
+    starts = (0, 3, 6)
+
+    def weight(k):
+        return Fraction((-1) ** k, factorial(k + 1))
+
+    def terms(x, lam, start):
+        return tuple(islice(coefficients._terms(weight, x, lam, start), 8))
+
     results = []
 
     def work(shift):
         order = lams[shift:] + lams[:shift]
+        first = keys[3 * shift:] + keys[:3 * shift]
+        table = {}
+        for x, lam in first:
+            for start in starts[shift % 3:] + starts[:shift % 3]:
+                table[x, lam, start] = terms(x, lam, start)
         results.append(
             (
                 bernoulli_number(120),
                 stirling1(60, 7),
                 apostol_bernoulli(30, Fraction(1, 3), Fraction(1, 2)),
                 tuple(sorted((lam, apostol_bernoulli(14, Fraction(1, 3), lam)) for lam in order)),
+                tuple(sorted(table.items(), key=repr)),
             )
         )
 
@@ -354,5 +382,9 @@ def test_caches_are_consistent_under_threads():
     assert results[0][0] == bernoulli_akiyama_tanigawa(120)[120]
     for lam, value in results[0][3]:
         assert value == apostol_series_division(14, Fraction(1, 3), lam)[14]
+    for (x, lam, start), got in results[0][4]:  # serial reference, without the table
+        assert got == tuple(weight(k) * sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam)))
+                            for k in range(start, start + 8))
     assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
     assert None in exact._appell  # the Bernoulli family is never evicted
+    assert len(coefficients._values) <= coefficients._VALUE_LISTS

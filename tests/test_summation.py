@@ -1,5 +1,6 @@
 """Summation engine: termination rules, error estimates, invariants."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -189,3 +190,53 @@ def test_to_mpf_faithful_rounding():
     with mpmath.workdps(80):
         want = mpmath.mpf(1) / 3
         assert abs(got - want) <= abs(got) * mpf(10) ** (-29)
+
+
+def _mpf_object_route(coeffs, x):
+    """to_mpf / eval_polynomial written with mpf objects and extradps."""
+    def conv(c):
+        if isinstance(c, Fraction) and c.denominator != 1:
+            with mpmath.extradps(10):
+                v = mpmath.mpf(c.numerator) / c.denominator
+            return +v
+        return mpmath.mpf(c.numerator if isinstance(c, Fraction) else c)
+    acc = mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * conv(x) + conv(c)
+    return acc
+
+
+def _tie_cases(prec: int, wp: int) -> list[Fraction]:
+    """Ratios whose conversion meets a tie at the guarded precision wp, set
+    so that the final rounding to prec shows how the tie was broken: an exact
+    tie in the numerator (odd mantissa, so ties-to-even rounds up), and a
+    quotient tie that only the nonzero remainder breaks (even mantissa)."""
+    g = wp - prec
+    cases = []
+    for t in (2 ** (prec - 1) + 1, 2 ** (prec - 1) + 5):
+        m = (t << g) | ((1 << (g - 1)) - 1)
+        cases += [Fraction(-(2 * m + 1), 2**k) for k in (1, 7, 300)]
+    m = ((2 ** (prec - 1) + 2) << g) | (1 << (g - 1))
+    rng = random.Random(3)
+    for _ in range(40000):
+        q = rng.randrange(2**199, 2**200) | 1
+        p = ((2 * m + 1) * q >> 201) + 1  # p/q just above the tie (2m + 1) / 2^201
+        if (p << 201) - (2 * m + 1) * q < q >> 8:
+            cases.append(Fraction(p, q))
+    return cases
+
+
+def test_integer_conversion_rounds_as_mpmath_does():
+    rng = random.Random(5)
+    wide = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, 2 ** rng.randrange(1, 700)),
+                     rng.randrange(2, 2 ** rng.randrange(2, 700))) for _ in range(600)]
+    for dps in (15, 30, 100):
+        with mpmath.workdps(dps):
+            cs = wide + _tie_cases(mpmath.mp.prec, mpmath.libmp.dps_to_prec(dps + 10))
+            assert len(cs) > len(wide) + 6
+            for c in cs:
+                assert to_mpf(c)._mpf_ == _mpf_object_route([c], 0)._mpf_, c
+            x = mpf(0.8507938431825506)
+            for m in (0, 1, 5, 40):
+                row = [c * 3**p for p, c in enumerate(cs[m:m + m + 1])]
+                assert eval_polynomial(row, x)._mpf_ == _mpf_object_route(row, x)._mpf_
