@@ -17,7 +17,6 @@ from .coefficients import (
     compute_coefficient,
     etf_check,
     hurwitz_coefficient,
-    hurwitz_coefficient_special,
     lerch_coefficient,
     log_gamma_series,
     riemann_coefficient,
@@ -59,7 +58,6 @@ __all__ = [
     "hurwitz_coefficient",
     "riemann_coefficient",
     "lerch_coefficient",
-    "hurwitz_coefficient_special",
     "log_gamma_series",
     "etf_check",
     "system_residual",

@@ -114,13 +114,12 @@ def _build_parser(default_digits: int) -> _Parser:
     parser = _Parser(prog="zetataylor", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_lambda=True):
+    def add_common(p):
         p.add_argument("--family", required=True, choices=["hurwitz", "riemann", "lerch"])
         p.add_argument("--n", required=True, type=_n_range, help="index k or range lo..hi")
         p.add_argument("--a", type=_fraction, default=None, help="shift a > 0 (decimal or p/q)")
-        if with_lambda:
-            p.add_argument("--lambda", dest="lam", type=_fraction, default=None,
-                           help="lerch multiplier, |lambda| <= 1, lambda != 1")
+        p.add_argument("--lambda", dest="lam", type=_fraction, default=None,
+                       help="lerch multiplier, |lambda| <= 1, lambda != 1")
         p.add_argument("--digits", type=int, default=default_digits)
         p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
 
@@ -143,19 +142,10 @@ def _build_parser(default_digits: int) -> _Parser:
 
 
 def _make_queries(args) -> list[CoefficientQuery]:
-    family = args.family
-    a = args.a
-    if family == "riemann":
-        if a is not None and a != 1:
-            raise ValueError("the riemann family fixes a = 1")
-        a = Fraction(1)
-    elif a is None:
-        a = Fraction(1)
-    lam = getattr(args, "lam", None)
-    if family != "lerch" and lam is not None:
-        raise ValueError("--lambda is only meaningful for the lerch family")
+    """One query per n; CoefficientQuery validates the domain."""
+    a = Fraction(1) if args.a is None else args.a
     return [
-        CoefficientQuery(family, n, a, lam, args.digits, args.max_terms,
+        CoefficientQuery(args.family, n, a, args.lam, args.digits, args.max_terms,
                          trace=args.command == "trace")
         for n in args.n
     ]

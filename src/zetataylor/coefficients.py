@@ -8,16 +8,20 @@ computed from the semi-convergent series
 
 where s1 is the unsigned first-kind Stirling number and B_m the Bernoulli
 polynomial.  The Riemann case is a = 1.  For the Lerch transcendent
-Phi(lam, s, a) = sum_n c_n(a, lam) s^n (lam != 1) the analogous series is
+Phi(lam, s, a) = sum_n c_n(a, lam) s^n (lam != 1) the series is the same
+with Apostol-Bernoulli values beta and no constant offset:
 
-    c_n(a, lam) = sum_{k>=n} (-1)^(k-n+1) s1(k, n) beta_{k+1}(a-1, lam) / (k+1)!
+    c_n(a, lam) = sum_{k>=n} (-1)^(k+1) s1(k, n) beta_{k+1}(a-1, lam) / (k+1)!
 
-with Apostol-Bernoulli values beta and no constant offset.
+Both are the Taylor coefficients of one Newton series in the rising
+factorial, sum_k (-1)^(k+1) (s)_k P_{k+1}(a-1) / (k+1)!, plus 1/(s-1) for
+Hurwitz; at s = -m it stops after k = m and gives (1 - B_{m+1}(a))/(m+1)
+and -beta_{m+1}(a, lam)/(m+1), which `verification` checks exactly.
 
 Both polynomial families are Appell sequences (`exact.appell_row`), so
-every series here, the n = 1, 2 and log-gamma variants included, has terms
-weight(k) * P_{k+1}(x) from the one generator `_terms`; only the weight
-differs, so the values P_{k+1}(x) are computed once per point and shared
+every series here, log-gamma included, has terms _weight(n, k) *
+P_{k+1}(x) from the one generator `_terms`; a family only picks P and
+the offset.  The values P_{k+1}(x) are computed once per point and shared
 by every n through a value table of at most 16 lists, least recently used
 out.  The "-1" is an exact offset applied outside the summation engine,
 so traces show the series itself and error estimates describe only the
@@ -35,9 +39,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf, workdps
@@ -46,13 +49,11 @@ from .exact import (
     appell_row,
     appell_value,
     exp_polynomial_coeffs,
-    harmonic_number,
     stirling1,
     stirling2,
 )
 from .summation import (
     SemiConvergentResult,
-    TraceRecord,
     eval_polynomial,
     sum_semiconvergent,
     to_mpf,
@@ -66,12 +67,9 @@ __all__ = [
     "hurwitz_coefficient",
     "riemann_coefficient",
     "lerch_coefficient",
-    "hurwitz_coefficient_special",
     "log_gamma_series",
     "etf_check",
     "system_residual",
-    "hurwitz_term_sign",
-    "lerch_term_sign",
     "fraction_from_mpf",
 ]
 
@@ -79,16 +77,6 @@ FAMILIES = ("hurwitz", "riemann", "lerch")
 
 DEFAULT_DIGITS = 50
 DEFAULT_MAX_TERMS = 64
-
-
-def hurwitz_term_sign(k: int) -> int:
-    """Sign prefactor (-1)^(k+1) of the Hurwitz/Riemann series."""
-    return -1 if k % 2 == 0 else 1
-
-
-def lerch_term_sign(n: int, k: int) -> int:
-    """Sign prefactor (-1)^(k-n+1) of the Lerch series."""
-    return -1 if (k - n) % 2 == 0 else 1
 
 
 def fraction_from_mpf(x) -> Fraction:
@@ -184,13 +172,17 @@ _values: OrderedDict = OrderedDict()
 _values_lock = threading.Lock()
 
 
-def _terms(
-    weight: Callable[[int], Fraction], x, lam: Fraction | None, start: int
-) -> Iterator:
-    """Series terms weight(k) * P_(k+1)(x) for k = start, start+1, ...,
-    where P is the Bernoulli family (lam None) or the Apostol-Bernoulli
-    family of lam.  Rational x yields exact Fractions; otherwise each exact
-    Appell row is evaluated by Horner at working precision."""
+def _weight(n: int, k: int) -> Fraction:
+    """(-1)^(k+1) s1(k, n) / (k+1)!, the weight of P_(k+1) in the n-th
+    coefficient of every family.  Kept out of `__all__`: it runs per term."""
+    return Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1))
+
+
+def _terms(n: int, x, lam: Fraction | None) -> Iterator:
+    """Series terms _weight(n, k) * P_(k+1)(x) for k = n, n+1, ..., where
+    P is the Bernoulli family (lam None) or the Apostol-Bernoulli family of
+    lam.  Rational x yields exact Fractions; otherwise each exact Appell
+    row is evaluated by Horner at working precision."""
     exact = _is_rational(x)
     if not exact:
         x = to_mpf(x)
@@ -200,13 +192,14 @@ def _terms(
         _values.move_to_end(key)
         if len(_values) > _VALUE_LISTS:
             _values.popitem(last=False)
-    k = start
+    k = n
     while True:
         with _values_lock:
             for m in range(len(values), k + 2):
                 values.append(appell_value(m, x, lam) if exact
                               else eval_polynomial(appell_row(m, lam), x))
-        yield weight(k) * values[k + 1] if exact else to_mpf(weight(k)) * values[k + 1]
+        w = _weight(n, k)
+        yield w * values[k + 1] if exact else to_mpf(w) * values[k + 1]
         k += 1
 
 
@@ -226,15 +219,11 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     with workdps(query.digits):
         n = query.n
         if query.family == "lerch":
-            lam, offset, sign = _lam_as_fraction(query.lam), mpf(0), partial(lerch_term_sign, n)
+            lam, offset = _lam_as_fraction(query.lam), mpf(0)
         else:
-            lam, offset, sign = None, mpf(-1), hurwitz_term_sign
-
-        def weight(k):
-            return Fraction(sign(k) * stirling1(k, n), factorial(k + 1))
-
+            lam, offset = None, mpf(-1)
         series = sum_semiconvergent(
-            _terms(weight, _shifted(query.a), lam, n),
+            _terms(n, _shifted(query.a), lam),
             start=n, max_terms=query.max_terms, trace=query.trace,
         )
         value = offset + series.value
@@ -288,52 +277,6 @@ def lerch_coefficient(
     )
 
 
-def _folded_weight(n: int) -> Callable[[int], Fraction]:
-    # n = 1: s1(k, 1) = (k-1)!; n = 2: s1(k, 2) = (k-1)! H_{k-1}.  Both
-    # fold with (k+1)! into a 1/(k(k+1)) denominator.
-    def weight(k):
-        w = Fraction(hurwitz_term_sign(k), k * (k + 1))
-        return w * harmonic_number(k - 1) if n == 2 else w
-
-    return weight
-
-
-def hurwitz_coefficient_special(
-    n: int,
-    a,
-    *,
-    digits: int = DEFAULT_DIGITS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    trace: bool = False,
-) -> CoefficientResult:
-    """Specialized evaluation for n in {0, 1, 2}.
-
-    n = 0 is the closed form 1/2 - a (reported with zero error estimate);
-    n = 1 and n = 2 run the reduced series with the first-kind Stirling
-    column folded into the denominators.  Results agree with the general
-    path within the combined error estimates.
-    """
-    if n not in (0, 1, 2):
-        raise ValueError("specialized evaluation supports n in {0, 1, 2}")
-    query = CoefficientQuery("hurwitz", n, a, None, digits, max_terms, trace)
-    with workdps(digits):
-        if n == 0:
-            term = (
-                to_mpf(Fraction(3, 2) - Fraction(a))
-                if _is_rational(a)
-                else mpf(1.5) - to_mpf(a)
-            )
-            rec = (TraceRecord(0, term, term),) if trace else None
-            series = SemiConvergentResult(term, mpf(0), 0, "converged", rec)
-        else:
-            series = sum_semiconvergent(
-                _terms(_folded_weight(n), _shifted(a), None, n),
-                start=n, max_terms=max_terms, trace=trace,
-            )
-        value = mpf(-1) + series.value
-        return CoefficientResult(query, series, mpf(-1), value, to_mpf(factorial(n)) * value)
-
-
 def log_gamma_series(
     a,
     *,
@@ -355,7 +298,7 @@ def log_gamma_series(
         raise ValueError("a must be non-negative")
     with workdps(digits):
         series = sum_semiconvergent(
-            _terms(_folded_weight(1), a, None, 1),
+            _terms(1, a, None),
             start=1, max_terms=max_terms, trace=trace,
         )
         return replace(series, value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
@@ -400,10 +343,12 @@ def system_residual(
 ) -> mpf:
     """Residual of the triangular system the coefficients solve.
 
-    The computed coefficients satisfy (hurwitz, with b_n = (-1)^n *
-    (zeta_n(a) + 1), and lerch with c_n directly)
+    With b_n = (-1)^n times the series part (value - offset) of the n-th
+    coefficient, the computed coefficients of either family satisfy
 
-        sum_{n>=k} s2(n, k) * b_n = -B_{k+1}(a-1) / (k+1)!
+        sum_{n>=k} s2(n, k) * b_n = -P_{k+1}(a-1) / (k+1)!
+
+    with P the Bernoulli (hurwitz) or Apostol-Bernoulli (lerch) family.
 
     Truncating the left side at N (default: the truncation index of the
     n = k coefficient computation) gives a finite residual.  The underlying
@@ -421,9 +366,9 @@ def system_residual(
         top = N if N is not None else max(k, first.series.truncation_index)
         lhs = mpf(0)
         for n in range(k, top + 1):
-            value = (first if n == k else coeff(n)).value
-            b = value if family == "lerch" else (-1) ** n * (value + 1)
-            lhs += to_mpf(stirling2(n, k)) * b
+            res = first if n == k else coeff(n)
+            lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * (res.value - res.offset))
         lamf = _lam_as_fraction(lam) if family == "lerch" else None
-        rhs = to_mpf(next(_terms(lambda j: Fraction(-1, factorial(j + 1)), _shifted(a), lamf, k)))
+        # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!
+        rhs = (-1) ** k * to_mpf(next(_terms(k, _shifted(a), lamf)))
         return lhs - rhs

@@ -178,21 +178,6 @@ def check_hurwitz_n1_loggamma(digits):
     return ok, " ".join(details)
 
 
-def check_special_vs_general(digits):
-    ok = True
-    worst = mpf(0)
-    with workdps(digits):
-        for n in (1, 2):
-            for a in [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]:
-                spec = coeffs.hurwitz_coefficient_special(n, a, digits=digits)
-                gen = coeffs.hurwitz_coefficient(n, a, digits=digits)
-                delta = abs(spec.value - gen.value)
-                bound = spec.error_estimate + gen.error_estimate
-                ok = ok and delta <= bound
-                worst = max(worst, delta)
-    return ok, f"max spread={_fmt(worst)}"
-
-
 def check_loggamma_series_zeros(digits):
     ok = True
     details = []
@@ -220,13 +205,31 @@ def check_lerch_c0(digits):
     return ok, f"max delta={_fmt(worst)} on {len(lams) * len(shifts)} points"
 
 
-def check_sign_parity(digits):
-    for n in range(41):
-        want = 1 if n % 2 == 0 else -1
-        for k in range(n, 61):
-            if coeffs.hurwitz_term_sign(k) * coeffs.lerch_term_sign(n, k) != want:
-                return False, f"sign mismatch at (n={n}, k={k})"
-    return True, "prefactors agree (even n) / oppose (odd n) through n=40"
+def check_newton_identity(digits):
+    # Summed over n, the weights give the Newton series in the rising
+    # factorial (s)_k = sum_n s1(k, n) s^n.  At s = -m it stops after k = m
+    # and must give the series part of zeta(-m, a) = -B_{m+1}(a)/(m+1), or
+    # Apostol's Phi(lam, -m, a) = -beta_{m+1}(a, lam)/(m+1); checked exactly.
+    top = 7
+    inner = [[sum(coeffs._weight(n, k) * (-m) ** n for n in range(k + 1))
+              for k in range(m + 2)] for m in range(top + 1)]
+    points, misses = 0, []
+    for lam in (None, Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(2, 7)):
+        for a in (Fraction(1, 2), Fraction(1), Fraction(5, 3)):
+            p = [exact.appell_value(k + 1, a - 1, lam) for k in range(top + 2)]
+            for m in range(top + 1):
+                got = sum(w * p[k] for k, w in enumerate(inner[m]))
+                if lam is None:
+                    want = (1 - exact.bernoulli_polynomial(m + 1, a)) / (m + 1)
+                else:
+                    want = -exact.apostol_bernoulli(m + 1, a, lam) / (m + 1)
+                points += 1
+                if got != want:
+                    misses.append((lam, a, m))
+    if misses:
+        lam, a, m = misses[0]
+        return False, f"{len(misses)} of {points} points miss, first (lam={lam}, a={a}, m={m})"
+    return True, f"exact at {points} points, m<={top}"
 
 
 def check_system_residual(digits):
@@ -398,10 +401,9 @@ SUITES = {
         ("hurwitz_n0_closed_form", check_hurwitz_n0_closed_form),
         ("riemann_n1_log2pi", check_riemann_n1),
         ("hurwitz_n1_loggamma", check_hurwitz_n1_loggamma),
-        ("special_vs_general", check_special_vs_general),
         ("loggamma_series_zeros", check_loggamma_series_zeros),
         ("lerch_c0_geometric", check_lerch_c0),
-        ("sign_parity", check_sign_parity),
+        ("newton_identity", check_newton_identity),
         ("system_residual", check_system_residual),
     ],
     "oracle": [

@@ -82,17 +82,13 @@ def test_coeff_verify_unit_circle_lambda_uses_duplication(capsys):
     code, out, _ = run_cli(
         capsys, "coeff", "--family=lerch", "--a=1", "--lambda=-1", "--n=0..1", "--verify",
     )
+    assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["n"] for r in recs] == [0, 1]
     with mpmath.workdps(60):
         want = [mpf("0.5"), mpmath.log(mpmath.pi / 2) / 2]
         for r, w in zip(recs, want):
             assert abs(mpf(r["oracle_value"]) - w) <= mpf("1e-48")
-        # the exit code follows the deltas: the series' n = 1 value at
-        # negative lambda lies outside its own estimate today
-        beyond = [abs(mpf(r["oracle_delta"])) > mpf(r["error_estimate"]) * mpf(1.01)
-                  for r in recs]
-    assert code == (1 if any(beyond) else 0)
 
 
 def test_coeff_verify_range_uses_one_reference_pass(capsys, monkeypatch):
@@ -162,6 +158,17 @@ def test_lambda_one_exits_domain_error(capsys):
     )
     assert code == 2
     assert "hurwitz" in err
+
+
+@pytest.mark.parametrize("command", ["coeff", "trace"])
+def test_lambda_on_hurwitz_exits_domain_error(capsys, tmp_path, command):
+    out = ["--out", str(tmp_path / "t.csv")] if command == "trace" else []
+    code, _, err = run_cli(
+        capsys, command, "--family", "hurwitz", "--lambda", "1/2", "--n", "0", *out
+    )
+    assert code == 2
+    assert "lerch" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_riemann_with_other_shift_rejected(capsys):

@@ -8,20 +8,18 @@ import mpmath
 import pytest
 from mpmath import mpf, workdps
 
-from zetataylor import coefficients
+from zetataylor import coefficients, verification
 from zetataylor.coefficients import (
     CoefficientQuery,
     etf_check,
     hurwitz_coefficient,
-    hurwitz_coefficient_special,
-    hurwitz_term_sign,
     lerch_coefficient,
-    lerch_term_sign,
     log_gamma_series,
     riemann_coefficient,
     system_residual,
 )
-from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs
+from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, stirling1
+from zetataylor.reference import taylor_coefficients
 from zetataylor.summation import eval_polynomial, to_mpf
 
 # frozen from independent 58-digit evaluations
@@ -55,6 +53,12 @@ def test_n1_at_one_matches_log2pi_constant():
     assert res.series.terminated_by == "minimal_term"
     assert abs(res.value + mpf(HALF_LOG_2PI)) <= res.error_estimate
     assert mpf("1e-4") < res.error_estimate < mpf("1e-2")
+
+
+def test_n1_at_two_is_minus_half_log_2pi():
+    # zeta_1(a) = log Gamma(a) - log(2 pi)/2 and Gamma(2) = 1
+    res = hurwitz_coefficient(1, 2)
+    assert abs(res.value + mpf(HALF_LOG_2PI)) <= res.error_estimate
 
 
 def test_riemann_delegates_to_hurwitz_at_one():
@@ -125,8 +129,8 @@ def test_query_accepts_float_and_mpf_constants():
     CoefficientQuery("lerch", 1, a=1, lam=-0.5)
 
 
-# Every term path (Hurwitz, Lerch, the folded n = 1, 2 weights and
-# log-gamma; rational and mpf x), formatted at 30 digits as the CLI does:
+# Every term path (Hurwitz, Lerch and log-gamma; rational and mpf x),
+# formatted at 30 digits as the CLI does:
 # (path, n, a, lam, value, error_estimate, truncation_index, terminated_by).
 # Floats stand for the mpf built from them.
 GOLDEN = [
@@ -138,22 +142,16 @@ GOLDEN = [
      "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
     ("hurwitz", 2, 0.7, None,
      "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
+    ("hurwitz", 2, Fraction(2), None,
+     "-1.00397156084656084656084656085", "0.00228775853775853775853775853776", 8, "minimal_term"),
     ("lerch", 1, Fraction(3, 2), Fraction(-2, 7),
-     "0.213054253670680282477264644617", "0.0455746145856266264740582679921", 4, "minimal_term"),
+     "-0.213054253670680282477264644617", "0.0455746145856266264740582679921", 4, "minimal_term"),
     ("lerch", 2, Fraction(1), Fraction(1, 2),
      "-1.9072558917291605112168160004e+100", "1.92784077340195022784106374436e+100", 65, "max_terms"),
     ("lerch", 1, 0.8, Fraction(-1, 3),
-     "-0.343124999999999951705298428806", "0.0170625000000000004996003610813", 2, "minimal_term"),
+     "0.343124999999999951705298428806", "0.0170625000000000004996003610813", 2, "minimal_term"),
     ("lerch", 3, Fraction(5, 4), -0.41,
-     "-0.00722594582944820805403520947274", "0.0334327277503304268941702762055", 3, "minimal_term"),
-    ("special", 1, Fraction(3, 2), None,
-     "-1.03941437251984126984126984127", "0.000840106797138047138047138047138", 8, "minimal_term"),
-    ("special", 2, Fraction(2), None,
-     "-1.00397156084656084656084656085", "0.00228775853775853775853775853776", 8, "minimal_term"),
-    ("special", 1, 1.3, None,
-     "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
-    ("special", 2, 0.7, None,
-     "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
+     "0.00722594582944820805403520947274", "0.0334327277503304268941702762055", 3, "minimal_term"),
     ("log_gamma", None, Fraction(1, 2), None,
      "-0.120475839315168528060940104864", "0.000840106797138047138047138047138", 8, "minimal_term"),
     ("log_gamma", None, 0.3, None,
@@ -173,8 +171,6 @@ def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
         res = hurwitz_coefficient(n, a, digits=30)
     elif path == "lerch":
         res = lerch_coefficient(n, a, lam, digits=30)
-    elif path == "special":
-        res = hurwitz_coefficient_special(n, a, digits=30)
     if path == "log_gamma":
         series = log_gamma_series(a, digits=30)
         got = series.value
@@ -183,42 +179,6 @@ def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
     fmt = lambda x: mpmath.nstr(x, 30, strip_zeros=True)  # noqa: E731
     assert (fmt(got), fmt(series.error_estimate)) == (value, estimate)
     assert (series.truncation_index, series.terminated_by) == (index, reason)
-
-
-# ---------------------------- special paths ----------------------------
-
-
-def test_special_n0_closed_form():
-    res = hurwitz_coefficient_special(0, Fraction(1, 2))
-    assert res.value == 0
-    assert res.error_estimate == 0
-
-
-def test_special_n1_gamma_of_two():
-    res = hurwitz_coefficient_special(1, 2)
-    assert abs(res.value + mpf(HALF_LOG_2PI)) <= res.error_estimate
-
-
-def test_special_equals_general_exactly_for_rational_shift():
-    # identical exact term values -> identical mpf sums
-    for n in (1, 2):
-        for a in (Fraction(1, 2), Fraction(3, 2)):
-            spec = hurwitz_coefficient_special(n, a)
-            gen = hurwitz_coefficient(n, a)
-            assert spec.value._mpf_ == gen.value._mpf_
-
-
-def test_special_vs_general_within_combined_estimates():
-    for n in (1, 2):
-        for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
-            spec = hurwitz_coefficient_special(n, a)
-            gen = hurwitz_coefficient(n, a)
-            assert abs(spec.value - gen.value) <= spec.error_estimate + gen.error_estimate
-
-
-def test_special_rejects_large_n():
-    with pytest.raises(ValueError):
-        hurwitz_coefficient_special(3, 1)
 
 
 # ---------------------------- log gamma series ----------------------------
@@ -299,11 +259,33 @@ def test_lerch_half_lambda_series_diverges_immediately():
     assert res.error_estimate > 1
 
 
-def test_sign_prefactors_parity():
-    for n in range(41):
-        want = 1 if n % 2 == 0 else -1
-        for k in range(n, 61):
-            assert hurwitz_term_sign(k) * lerch_term_sign(n, k) == want
+def test_newton_identity_holds_at_every_grid_point():
+    ok, detail = verification.check_newton_identity(30)
+    assert ok, detail
+    assert detail.startswith("exact at 120 points")
+
+
+def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
+    # PAPER.md's Lerch weight (-1)^(k-n+1) s1(k, n) / (k+1)! agrees with
+    # the true one only where n is even, so only the m = 0 points hold
+    def paper_weight(n, k):
+        return Fraction((-1) ** (k - n + 1) * stirling1(k, n), factorial(k + 1))
+
+    monkeypatch.setattr(coefficients, "_weight", paper_weight)
+    ok, detail = verification.check_newton_identity(30)
+    assert not ok
+    assert detail.startswith("105 of 120 points miss")
+
+
+@pytest.mark.parametrize("lam", [Fraction(-1), Fraction(-9, 10), Fraction(-1, 2), Fraction(-1, 3)],
+                         ids=str)
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(3, 2)], ids=str)
+def test_lerch_negative_lambda_within_own_bar_of_reference(lam, a):
+    ref = taylor_coefficients("lerch", 3, a, lam, digits=30)
+    for n in (1, 2, 3):
+        res = lerch_coefficient(n, a, lam, digits=30)
+        with workdps(30):
+            assert abs(res.value - ref[n].value) <= res.error_estimate + ref[n].error_estimate, n
 
 
 # ---------------------------- ETF identity ----------------------------
@@ -365,50 +347,52 @@ def test_system_residual_rejects_other_families():
 # Bits of every run n = 0..6, recorded before the value table existed:
 # per (family, a, lam, digits), the first 16 hex digits of the sha256 of
 # repr([(value._mpf_, error_estimate._mpf_, truncation_index,
-# terminated_by), ...]) with the mpf fields as int tuples.
+# terminated_by), ...]) with the mpf fields as int tuples.  The Lerch
+# digests carry the sign fix of the shared weight: derive_lerch_sign_repin.py
+# recomputes them from the older rows with value negated at odd n.
 BITS_A = {"1": 1, "7/5": Fraction(7, 5), "mpf0.8": mpf(0.8)}
 BITS_LAM = {None: None, "-1": Fraction(-1), "-5/6": Fraction(-5, 6), "1/3": Fraction(1, 3),
             "mpf-0.41": mpf(-0.41), "mpf0.73": mpf(0.73)}
 RUN_BITS = {
     ("riemann", "1", None, 30): "111ddee1717c65f7",
     ("hurwitz", "7/5", None, 30): "55bb73cebb96ddcd",
-    ("lerch", "7/5", "-1", 30): "10c962868cb39406",
-    ("lerch", "7/5", "-5/6", 30): "9dbbf7227716ec62",
-    ("lerch", "7/5", "1/3", 30): "d508a902cb5d10e0",
-    ("lerch", "7/5", "mpf-0.41", 30): "f6c049d7810441f7",
-    ("lerch", "7/5", "mpf0.73", 30): "77beb6997c3357a4",
+    ("lerch", "7/5", "-1", 30): "5a9f041824e06699",
+    ("lerch", "7/5", "-5/6", 30): "83e07213292d1004",
+    ("lerch", "7/5", "1/3", 30): "713d030145ef311c",
+    ("lerch", "7/5", "mpf-0.41", 30): "f9d3e8a627e877e9",
+    ("lerch", "7/5", "mpf0.73", 30): "2171974a15520b11",
     ("hurwitz", "mpf0.8", None, 30): "87291791ca15cc47",
-    ("lerch", "mpf0.8", "-1", 30): "e4aa1a31ee1a73ab",
-    ("lerch", "mpf0.8", "-5/6", 30): "d611ce936f334603",
-    ("lerch", "mpf0.8", "1/3", 30): "d70802cc2a10c5a5",
-    ("lerch", "mpf0.8", "mpf-0.41", 30): "a84fb72a62899fa2",
-    ("lerch", "mpf0.8", "mpf0.73", 30): "c0e314afed9c2ad6",
+    ("lerch", "mpf0.8", "-1", 30): "4cbd1ed3fefdfada",
+    ("lerch", "mpf0.8", "-5/6", 30): "cba70e41b4622976",
+    ("lerch", "mpf0.8", "1/3", 30): "ab1e0249150ac01d",
+    ("lerch", "mpf0.8", "mpf-0.41", 30): "e6f331bbdf37c51a",
+    ("lerch", "mpf0.8", "mpf0.73", 30): "e97091e7133c5b41",
     ("riemann", "1", None, 50): "6d298b6d6cd9a376",
     ("hurwitz", "7/5", None, 50): "632ec8261e0ac844",
-    ("lerch", "7/5", "-1", 50): "5478bc57363568b4",
-    ("lerch", "7/5", "-5/6", 50): "e515e25e4405a9aa",
-    ("lerch", "7/5", "1/3", 50): "17daeb27d4d82f08",
-    ("lerch", "7/5", "mpf-0.41", 50): "09e34d9456d6907b",
-    ("lerch", "7/5", "mpf0.73", 50): "34a8d306aa1965e6",
+    ("lerch", "7/5", "-1", 50): "825c7047ec3916ac",
+    ("lerch", "7/5", "-5/6", 50): "2b5d1ff5d2621b93",
+    ("lerch", "7/5", "1/3", 50): "0f8a194bf2f7358c",
+    ("lerch", "7/5", "mpf-0.41", 50): "7fe071373c6a5b8c",
+    ("lerch", "7/5", "mpf0.73", 50): "2409060e8ae5248c",
     ("hurwitz", "mpf0.8", None, 50): "a5b0d7d0b4544b20",
-    ("lerch", "mpf0.8", "-1", 50): "6e0447a5388a4b98",
-    ("lerch", "mpf0.8", "-5/6", 50): "c2dc99621895a546",
-    ("lerch", "mpf0.8", "1/3", 50): "69eae25a5a864128",
-    ("lerch", "mpf0.8", "mpf-0.41", 50): "a44f6834bdd0cc59",
-    ("lerch", "mpf0.8", "mpf0.73", 50): "1e495eea76d46931",
+    ("lerch", "mpf0.8", "-1", 50): "a6b940a5ddfb95a8",
+    ("lerch", "mpf0.8", "-5/6", 50): "6588b03b7db27e27",
+    ("lerch", "mpf0.8", "1/3", 50): "ed440926a75ca9a8",
+    ("lerch", "mpf0.8", "mpf-0.41", 50): "7cffa0e2cd19877d",
+    ("lerch", "mpf0.8", "mpf0.73", 50): "3bae74cface602cf",
     ("riemann", "1", None, 100): "2c908cfb4561280e",
     ("hurwitz", "7/5", None, 100): "44cd089c1d05d83e",
-    ("lerch", "7/5", "-1", 100): "0244e7b3f1f8cdcf",
-    ("lerch", "7/5", "-5/6", 100): "d38e9b7e93732eb9",
-    ("lerch", "7/5", "1/3", 100): "9d51b0f80ab74a30",
-    ("lerch", "7/5", "mpf-0.41", 100): "ce7a2c7151dfa79b",
-    ("lerch", "7/5", "mpf0.73", 100): "10cb51625672b610",
+    ("lerch", "7/5", "-1", 100): "d9c07775230c19d8",
+    ("lerch", "7/5", "-5/6", 100): "aeca312f55219a04",
+    ("lerch", "7/5", "1/3", 100): "80f1b7245040eb03",
+    ("lerch", "7/5", "mpf-0.41", 100): "d94c0ecb1cf3e887",
+    ("lerch", "7/5", "mpf0.73", 100): "6f04eee4a4dc570a",
     ("hurwitz", "mpf0.8", None, 100): "38abc51e9e6afb02",
-    ("lerch", "mpf0.8", "-1", 100): "03c017aac8420642",
-    ("lerch", "mpf0.8", "-5/6", 100): "2e4b093b209b8660",
-    ("lerch", "mpf0.8", "1/3", 100): "006b69fde142c04a",
-    ("lerch", "mpf0.8", "mpf-0.41", 100): "81213c4798d4b2ff",
-    ("lerch", "mpf0.8", "mpf0.73", 100): "818d1b3d03582ac7",
+    ("lerch", "mpf0.8", "-1", 100): "726e2d9174888800",
+    ("lerch", "mpf0.8", "-5/6", 100): "b2f50bfad55891d1",
+    ("lerch", "mpf0.8", "1/3", 100): "fbbe0036ad3213b1",
+    ("lerch", "mpf0.8", "mpf-0.41", 100): "02367ed8a7fcedf6",
+    ("lerch", "mpf0.8", "mpf0.73", 100): "90d6bf4a0f85b00e",
 }
 
 

@@ -335,17 +335,17 @@ def test_caches_are_consistent_under_threads():
     # more lambdas than the Apostol cache keeps, so families are evicted and
     # rebuilt while other threads read them; more (x, lam) keys than the
     # value table keeps, so its lists are evicted and rebuilt too, and each
-    # thread asks the starts in its own order, so lists grow from either end
+    # thread asks the indices n in its own order, so lists grow from either end
     lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
     keys = [(x, lam) for x in (Fraction(-2, 7), Fraction(3, 5)) for lam in [None] + lams]
     assert len(keys) > coefficients._VALUE_LISTS
     starts = (0, 3, 6)
 
-    def weight(k):
-        return Fraction((-1) ** k, factorial(k + 1))
+    def weight(n, k):
+        return Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1))
 
-    def terms(x, lam, start):
-        return tuple(islice(coefficients._terms(weight, x, lam, start), 8))
+    def terms(x, lam, n):
+        return tuple(islice(coefficients._terms(n, x, lam), 8))
 
     results = []
 
@@ -383,7 +383,7 @@ def test_caches_are_consistent_under_threads():
     for lam, value in results[0][3]:
         assert value == apostol_series_division(14, Fraction(1, 3), lam)[14]
     for (x, lam, start), got in results[0][4]:  # serial reference, without the table
-        assert got == tuple(weight(k) * sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam)))
+        assert got == tuple(weight(start, k) * sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam)))
                             for k in range(start, start + 8))
     assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
     assert None in exact._appell  # the Bernoulli family is never evicted
