@@ -18,7 +18,7 @@ from zetataylor.coefficients import (
     riemann_coefficient,
     system_residual,
 )
-from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, stirling1
+from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, harmonic_number, stirling1
 from zetataylor.reference import taylor_coefficients
 from zetataylor.summation import eval_polynomial, to_mpf
 
@@ -132,7 +132,9 @@ def test_query_accepts_float_and_mpf_constants():
 # Every term path (Hurwitz, Lerch and log-gamma; rational and mpf x),
 # formatted at 30 digits as the CLI does:
 # (path, n, a, lam, value, error_estimate, truncation_index, terminated_by).
-# Floats stand for the mpf built from them.
+# Floats stand for the mpf built from them.  The "special" rows are the
+# Hurwitz n = 1, 2 cases once served by folded closed-form weights; they
+# also check that those weights are the shared weight at every term.
 GOLDEN = [
     ("hurwitz", 1, Fraction(3, 2), None,
      "-1.03941437251984126984126984127", "0.000840106797138047138047138047138", 8, "minimal_term"),
@@ -152,6 +154,14 @@ GOLDEN = [
      "0.343124999999999951705298428806", "0.0170625000000000004996003610813", 2, "minimal_term"),
     ("lerch", 3, Fraction(5, 4), -0.41,
      "0.00722594582944820805403520947274", "0.0334327277503304268941702762055", 3, "minimal_term"),
+    ("special", 1, Fraction(3, 2), None,
+     "-1.03941437251984126984126984127", "0.000840106797138047138047138047138", 8, "minimal_term"),
+    ("special", 2, Fraction(2), None,
+     "-1.00397156084656084656084656085", "0.00228775853775853775853775853776", 8, "minimal_term"),
+    ("special", 1, 1.3, None,
+     "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
+    ("special", 2, 0.7, None,
+     "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
     ("log_gamma", None, Fraction(1, 2), None,
      "-0.120475839315168528060940104864", "0.000840106797138047138047138047138", 8, "minimal_term"),
     ("log_gamma", None, 0.3, None,
@@ -167,7 +177,7 @@ GOLDEN = [
 def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
     a = mpf(a) if isinstance(a, float) else a
     lam = mpf(lam) if isinstance(lam, float) else lam
-    if path == "hurwitz":
+    if path in ("hurwitz", "special"):
         res = hurwitz_coefficient(n, a, digits=30)
     elif path == "lerch":
         res = lerch_coefficient(n, a, lam, digits=30)
@@ -179,6 +189,26 @@ def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
     fmt = lambda x: mpmath.nstr(x, 30, strip_zeros=True)  # noqa: E731
     assert (fmt(got), fmt(series.error_estimate)) == (value, estimate)
     assert (series.truncation_index, series.terminated_by) == (index, reason)
+    if path == "special":
+        # s1(k, 1) = (k-1)! and s1(k, 2) = (k-1)! H_(k-1) fold with (k+1)!
+        # into (-1)^(k+1) / (k(k+1)), times H_(k-1) for n = 2
+        for k in range(n, index + 1):
+            folded = Fraction((-1) ** (k + 1), k * (k + 1))
+            folded *= harmonic_number(k - 1) if n == 2 else 1
+            assert coefficients._weight(n, k) == folded, k
+
+
+# ---------------------------- special paths ----------------------------
+
+
+def test_special_n0_closed_form():
+    # the closed form 1/2 - a is the general path's single non-zero term;
+    # its bar is the convergence threshold, 10^-(digits + 5)
+    res = hurwitz_coefficient(0, Fraction(1, 2), digits=50, trace=True)
+    assert res.value == 0
+    with workdps(50):
+        assert res.error_estimate == mpf(10) ** -55
+    assert [r.k for r in res.series.trace if r.term != 0] == [0]
 
 
 # ---------------------------- log gamma series ----------------------------
