@@ -144,8 +144,6 @@ GOLDEN = [
      "-1.02687849365079365841373313655", "0.000587433333333333277811256097706", 5, "minimal_term"),
     ("hurwitz", 2, 0.7, None,
      "-0.931041935846560824528038883762", "0.0016187311111111112307385995084", 5, "minimal_term"),
-    ("hurwitz", 2, Fraction(2), None,
-     "-1.00397156084656084656084656085", "0.00228775853775853775853775853776", 8, "minimal_term"),
     ("lerch", 1, Fraction(3, 2), Fraction(-2, 7),
      "-0.213054253670680282477264644617", "0.0455746145856266264740582679921", 4, "minimal_term"),
     ("lerch", 2, Fraction(1), Fraction(1, 2),

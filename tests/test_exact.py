@@ -339,7 +339,7 @@ def test_caches_are_consistent_under_threads():
     lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
     keys = [(x, lam) for x in (Fraction(-2, 7), Fraction(3, 5)) for lam in [None] + lams]
     assert len(keys) > coefficients._VALUE_LISTS
-    starts = (0, 3, 6)
+    starts = (0, 1, 3, 6)  # n = 0 weighs only P_1; n = 1 weighs P_2 .. P_9
 
     def weight(n, k):
         return Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1))
@@ -354,7 +354,7 @@ def test_caches_are_consistent_under_threads():
         first = keys[3 * shift:] + keys[:3 * shift]
         table = {}
         for x, lam in first:
-            for start in starts[shift % 3:] + starts[:shift % 3]:
+            for start in starts[shift % 4:] + starts[:shift % 4]:
                 table[x, lam, start] = terms(x, lam, start)
         results.append(
             (
@@ -385,6 +385,11 @@ def test_caches_are_consistent_under_threads():
     for (x, lam, start), got in results[0][4]:  # serial reference, without the table
         assert got == tuple(weight(start, k) * sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam)))
                             for k in range(start, start + 8))
+    for key, values in coefficients._values.items():  # every value the table kept
+        if len(key) == 2:
+            x, lam = key
+            assert values == [sum(c * x**p for p, c in enumerate(appell_row(m, lam)))
+                              for m in range(len(values))], key
     assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
     assert None in exact._appell  # the Bernoulli family is never evicted
     assert len(coefficients._values) <= coefficients._VALUE_LISTS
