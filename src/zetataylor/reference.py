@@ -1,8 +1,9 @@
 """Independent numerical ground truth for the coefficient series.
 
 Five pieces, none of which touches the Stirling/Bernoulli coefficient
-series (the Bernoulli numbers from `exact` are the only shared code, so
-agreement between the two routes is meaningful evidence):
+series (the Bernoulli numbers from `exact` are the only shared numerics, so
+agreement between the two routes is meaningful evidence; the domain rule is
+the series' own, `coefficients.CoefficientQuery`):
 
 * `hurwitz_zeta` - Euler-Maclaurin evaluation of zeta(s, a) for complex
   s != 1, precision-controlled by the cutoff N and correction order J.
@@ -38,6 +39,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import mpc, mpf, workdps
 
+from .coefficients import CoefficientQuery, _check_real
 from .exact import bernoulli_number
 from .summation import to_mpf
 
@@ -89,12 +91,11 @@ class OracleConfig:
             raise ValueError("contour_points must be a power of two >= 32")
 
     @classmethod
-    def for_digits(cls, digits: int, radius: Fraction = Fraction(1, 2)) -> "OracleConfig":
-        needed = math.ceil((digits + 5) / -math.log10(float(radius)))
+    def for_digits(cls, digits: int) -> "OracleConfig":
+        needed = math.ceil((digits + 5) / -math.log10(float(cls.contour_radius)))
         return cls(
             em_cutoff=digits + 10,
             em_order=digits // 2 + 10,
-            contour_radius=radius,
             contour_points=_next_pow2(needed),
         )
 
@@ -113,6 +114,7 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
     with (s)_m the rising factorial.  At negative integer s the corrections
     terminate and the value is exact up to rounding.
     """
+    _check_real("shift a", a)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
     with workdps(digits + _GUARD_DPS):
@@ -142,6 +144,8 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
 def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
     """Phi(lam, s, a) = sum_n lam^n (n+a)^-s by direct summation,
     for real |lam| < 1 strictly (a > 0, any complex s)."""
+    _check_real("lambda", lam)
+    _check_real("shift a", a)
     with workdps(digits + _GUARD_DPS):
         lamv = to_mpf(lam)
         if not abs(lamv) < 1:
@@ -173,27 +177,6 @@ def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
             if n > 10_000_000:  # pragma: no cover - unreachable for |lam| < 1
                 raise RuntimeError("lerch_phi failed to converge")
         return total
-
-
-def _check_family(family: str, n_max: int, a, lam) -> None:
-    """Reject a (family, n_max, a, lam) outside the reference's domain."""
-    if family not in ("hurwitz", "riemann", "lerch"):
-        raise ValueError(f"unknown family {family!r}")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative int, got {n_max!r}")
-    if not (a > 0 and mpmath.isfinite(a)):
-        raise ValueError("a must be positive and finite")
-    if family == "riemann" and a != 1:
-        raise ValueError("the riemann family fixes a = 1")
-    if family != "lerch":
-        if lam is not None:
-            raise ValueError("lam is only meaningful for the lerch family")
-    elif lam is None:
-        raise ValueError("family lerch requires lam")
-    elif lam == 1:
-        raise ValueError("lambda = 1 is the hurwitz case; use family hurwitz")
-    elif not abs(lam) <= 1:
-        raise ValueError("lerch requires |lambda| <= 1")
 
 
 def _power_jet(log_x, n_max: int) -> list:
@@ -301,7 +284,7 @@ def taylor_coefficients(
     estimate is the truncation bound (first omitted correction or tail)
     plus the rounding floor 10^-(digits+2) (1 + |c_n|).
     """
-    _check_family(family, n_max, a, lam)
+    CoefficientQuery(family, n_max, a, lam, digits)
     cfg = OracleConfig.for_digits(digits)
     with workdps(digits + _GUARD_DPS):
         av = to_mpf(a)
@@ -339,7 +322,7 @@ def taylor_coefficients_contour(
     symmetry halves the work) and reads every n off them.  Each error
     estimate is the change from M to 2M nodes, plus a rounding floor.
     """
-    _check_family(family, n_max, a, lam)
+    CoefficientQuery(family, n_max, a, lam, digits)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
     M = cfg.contour_points
@@ -383,6 +366,7 @@ def log_gamma_ref(a, *, digits: int = 50) -> mpf:
     minimal term, so z is sized from the digit target and the series is
     cut when the terms drop below it.
     """
+    _check_real("a", a)
     with workdps(digits + _GUARD_DPS):
         av = to_mpf(a)
         if not av > 0:

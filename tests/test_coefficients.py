@@ -26,21 +26,6 @@ from zetataylor.summation import eval_polynomial, to_mpf
 HALF_LOG_2PI = "0.9189385332046727417803297364056176398613974736377834128"
 
 
-def test_n0_closed_form_rational_grid():
-    for a in [Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), 2, 10]:
-        res = hurwitz_coefficient(0, a)
-        want = to_mpf(Fraction(1, 2) - Fraction(a))
-        assert abs(res.value - want) <= mpf("1e-48")
-        assert res.series.terminated_by == "converged"
-
-
-def test_n0_closed_form_irrational_shift():
-    with workdps(50):
-        a = mpmath.e
-    res = hurwitz_coefficient(0, a)
-    assert abs(res.value - (mpf(0.5) - a)) <= mpf("1e-47")
-
-
 def test_n0_at_one_single_surviving_term():
     res = hurwitz_coefficient(0, 1, trace=True)
     assert abs(res.value + mpf(0.5)) <= mpf("1e-49")
@@ -212,12 +197,6 @@ def test_special_n0_closed_form():
 # ---------------------------- log gamma series ----------------------------
 
 
-def test_log_gamma_series_zero_points():
-    for a in (0, 1):
-        res = log_gamma_series(a)
-        assert abs(res.value) <= 2 * res.error_estimate
-
-
 def test_log_gamma_series_minimal_term_location():
     res = log_gamma_series(0, trace=True)
     assert res.terminated_by == "minimal_term"
@@ -250,15 +229,6 @@ def test_log_gamma_series_consistent_with_shifted_coefficient():
 # ---------------------------- lerch family ----------------------------
 
 
-def test_lerch_c0_closed_form_grid():
-    for lam in [Fraction(-1), Fraction(-1, 2), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]:
-        for a in [Fraction(1, 2), 1, 2]:
-            res = lerch_coefficient(0, a, lam)
-            want = to_mpf(Fraction(1) / (1 - lam))
-            assert abs(res.value - want) <= mpf("1e-48")
-            assert res.series.terminated_by == "converged"
-
-
 def test_lerch_c0_examples():
     assert abs(lerch_coefficient(0, 1, Fraction(1, 2)).value - 2) <= mpf("1e-49")
     assert abs(lerch_coefficient(0, 3, -1).value - mpf(0.5)) <= mpf("1e-49")
@@ -282,15 +252,10 @@ def test_lerch_rejects_lambda_one_and_large_lambda():
 def test_lerch_half_lambda_series_diverges_immediately():
     # at lambda = 1/2 the term magnitudes grow from the start; the engine
     # honestly reports the max_terms outcome with a matching estimate
-    res = lerch_coefficient(1, 1, Fraction(1, 2))
-    assert res.series.terminated_by == "max_terms"
-    assert res.error_estimate > 1
-
-
-def test_newton_identity_holds_at_every_grid_point():
-    ok, detail = verification.check_newton_identity(30)
-    assert ok, detail
-    assert detail.startswith("exact at 120 points")
+    for digits in (30, 50):
+        res = lerch_coefficient(1, 1, Fraction(1, 2), digits=digits)
+        assert res.series.terminated_by == "max_terms"
+        assert res.error_estimate > 1
 
 
 def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
@@ -338,31 +303,7 @@ def test_etf_square_at_half():
     assert abs(lhs - rhs) <= mpf("1e-25")
 
 
-def test_etf_degree_six_grid():
-    for coeffs in [(1, -2, 0, 3), (2, 0, -1, 0, 0, 0, 5)]:
-        for x in (Fraction(1, 4), Fraction(1, 2), 1, 2):
-            lhs, rhs = etf_check(coeffs, x, K=120)
-            assert abs(lhs - rhs) <= mpf("1e-25")
-
-
 # ---------------------------- system residual ----------------------------
-
-
-def test_system_residual_hurwitz_at_one():
-    r = system_residual("hurwitz", 1, k=0)
-    est = hurwitz_coefficient(0, 1).error_estimate
-    assert abs(r) <= est
-
-
-def test_system_residual_smoke_k1():
-    r = system_residual("hurwitz", 2, k=1, N=6)
-    assert mpmath.isfinite(r)
-
-
-def test_system_residual_lerch():
-    r = system_residual("lerch", 1, Fraction(1, 2), k=0)
-    est = lerch_coefficient(0, 1, Fraction(1, 2)).error_estimate
-    assert abs(r) <= est
 
 
 def test_system_residual_rejects_other_families():
