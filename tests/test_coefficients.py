@@ -197,6 +197,12 @@ def test_special_n0_closed_form():
 # ---------------------------- log gamma series ----------------------------
 
 
+def test_log_gamma_series_zero_points():
+    for a in (0, 1):
+        res = log_gamma_series(a)
+        assert abs(res.value) <= 2 * res.error_estimate
+
+
 def test_log_gamma_series_minimal_term_location():
     res = log_gamma_series(0, trace=True)
     assert res.terminated_by == "minimal_term"
@@ -304,6 +310,23 @@ def test_etf_square_at_half():
 
 
 # ---------------------------- system residual ----------------------------
+
+
+def test_system_residual_hurwitz_at_one():
+    r = system_residual("hurwitz", 1, k=0)
+    est = hurwitz_coefficient(0, 1).error_estimate
+    assert abs(r) <= est
+
+
+def test_system_residual_smoke_k1():
+    r = system_residual("hurwitz", 2, k=1, N=6)
+    assert mpmath.isfinite(r)
+
+
+def test_system_residual_lerch():
+    r = system_residual("lerch", 1, Fraction(1, 2), k=0)
+    est = lerch_coefficient(0, 1, Fraction(1, 2)).error_estimate
+    assert abs(r) <= est
 
 
 def test_system_residual_rejects_other_families():

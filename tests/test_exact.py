@@ -135,6 +135,34 @@ def test_stirling2_matches_formula(n):
         assert stirling2(n, k) == stirling2_formula(n, k)
 
 
+def test_stirling1_columns():
+    for k in range(1, 26):
+        assert stirling1(k, 1) == factorial(k - 1)
+        assert Fraction(stirling1(k, 2)) == factorial(k - 1) * harmonic_number(k - 1)
+        assert stirling1(k, k) == 1
+        assert stirling1(k, 0) == 0
+
+
+def test_stirling_orthogonality_exact():
+    for k in range(31):
+        for m in range(k + 1):
+            s = sum(
+                (-1) ** (k - n) * stirling1(k, n) * stirling2(n, m)
+                for n in range(m, k + 1)
+            )
+            assert s == (1 if k == m else 0)
+
+
+def test_basis_change_round_trip():
+    for n in range(21):
+        out = [0] * (n + 1)
+        for k in range(n + 1):
+            c = (-1) ** (n - k) * stirling1(n, k)
+            for m, s2 in enumerate(exp_polynomial_coeffs(k)):
+                out[m] += c * s2
+        assert out == [0] * n + [1]
+
+
 def test_exp_polynomial_coeffs():
     assert exp_polynomial_coeffs(0) == (1,)
     assert exp_polynomial_coeffs(2) == (0, 1, 1)
@@ -182,6 +210,11 @@ def test_bernoulli_polynomial_examples():
     assert bernoulli_polynomial(2, 0) == Fraction(1, 6)
 
 
+def test_bernoulli_polynomial_at_zero_is_number():
+    for n in range(41):
+        assert bernoulli_polynomial(n, 0) == bernoulli_number(n)
+
+
 def test_bernoulli_polynomial_coeffs_consistent():
     for n in range(12):
         coeffs = bernoulli_polynomial_coeffs(n)
@@ -203,6 +236,21 @@ def test_bernoulli_polynomial_difference_property(n, x):
 # ----------------------------------------------------------------------
 # Apostol-Bernoulli values
 # ----------------------------------------------------------------------
+
+
+def test_apostol_closed_forms():
+    lam = Fraction(2)
+    for a in [Fraction(0), Fraction(1), Fraction(-2, 3)]:
+        assert apostol_bernoulli(0, a, lam) == 0
+        assert apostol_bernoulli(1, a, lam) == 1
+    assert apostol_bernoulli(2, 1, 2) == -2
+
+
+def test_apostol_beta2_formula():
+    for a in [Fraction(0), Fraction(1, 2), Fraction(2)]:
+        for lam in [Fraction(-1), Fraction(1, 3), Fraction(5, 2)]:
+            want = (2 * a * (lam - 1) - 2 * lam) / (lam - 1) ** 2
+            assert apostol_bernoulli(2, a, lam) == want
 
 
 @pytest.mark.parametrize(

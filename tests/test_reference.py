@@ -20,7 +20,16 @@ from zetataylor.reference import (
 from zetataylor.summation import to_mpf
 
 # frozen from independent 58-digit evaluations
+PI_SQUARED_OVER_6 = "1.644934066848226436472415166646025189218949901206798438"
 HALF_LOG_2PI = "0.9189385332046727417803297364056176398613974736377834128"
+HALF_LOG_PI = "0.5723649429247000870717136756765293558236474064576557858"
+
+
+def test_euler_maclaurin_classic_values():
+    assert abs(hurwitz_zeta(2, 1) - mpf(PI_SQUARED_OVER_6)) <= mpf("1e-50")
+    for a in (Fraction(1, 2), Fraction(1), Fraction(7, 2)):
+        assert abs(hurwitz_zeta(0, a) - (mpf(0.5) - to_mpf(a))) <= mpf("1e-50")
+    assert abs(hurwitz_zeta(-1, 1) + Fraction(1, 12)) <= mpf("1e-50")
 
 
 def test_euler_maclaurin_complex_s_against_mpmath():
@@ -205,6 +214,12 @@ def test_oracle_config_validation():
         OracleConfig(20, 10, Fraction(1, 2), 48)  # not a power of two
     cfg = OracleConfig.for_digits(50)
     assert cfg.contour_points >= 128
+
+
+def test_log_gamma_ref_values():
+    assert abs(log_gamma_ref(1)) <= mpf("1e-50")
+    assert abs(log_gamma_ref(2)) <= mpf("1e-50")
+    assert abs(log_gamma_ref(Fraction(1, 2)) - mpf(HALF_LOG_PI)) <= mpf("1e-50")
 
 
 def test_log_gamma_ref_against_mpmath():
