@@ -19,17 +19,16 @@ Hurwitz; at s = -m it stops after k = m and gives (1 - B_{m+1}(a))/(m+1)
 and -beta_{m+1}(a, lam)/(m+1), which `verification` checks exactly.
 
 Both polynomial families are Appell sequences (`exact.appell_row`), so
-every series here, log-gamma included, has terms _weight(n, k) *
-P_{k+1}(x) from the one generator `_terms`; a family only picks P and
-the offset.  The values P_{k+1}(x) are computed once per point and shared
-by every n through a value table of at most 16 lists, least recently used
-out.  The "-1" is an exact offset applied outside the summation engine,
-so traces show the series itself and error estimates describe only the
-series.  For rational a (and lam) the values are exact Fractions, keyed
-(x, lam), and every term is converted to mpf once; otherwise the exact
-rows are evaluated by Horner at working precision, keyed (x, lam,
-precision).  Both choices maximize cancellation fidelity, which matters in
-an asymptotic series.
+every series here, log-gamma included, has terms _weight(n, k) * q_k with
+q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family only
+picks P and the offset.  Every input is exact first: an int or a Fraction
+as it is, anything else rounded to working precision and taken as its
+dyadic value.  Each q_k is computed exactly in integers and rounded once,
+then shared by every n through a value table of at most 16 lists, keyed
+(x, lam, precision), least recently used out; a term is an integer times
+q_k, one more rounding.  The "-1" is an exact offset applied outside the
+summation engine, so traces show the series itself and error estimates
+describe only the series.
 """
 
 from __future__ import annotations
@@ -39,15 +38,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import from_rational, round_nearest
 
 from .exact import (
-    appell_row,
-    appell_value,
+    appell_ratio,
     exp_polynomial_coeffs,
     stirling1,
     stirling2,
@@ -80,8 +79,11 @@ DEFAULT_MAX_TERMS = 64
 
 
 def fraction_from_mpf(x) -> Fraction:
-    """Exact Fraction equal to a finite mpf (every mpf is dyadic)."""
-    x = mpmath.mpf(x)
+    """x as an exact Fraction: an int or a Fraction as it is, anything else
+    rounded to working precision by `to_mpf` (every mpf is dyadic)."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    x = to_mpf(x)
     if not mpmath.isfinite(x):
         raise ValueError("cannot convert non-finite value to Fraction")
     sign, man, exp, _ = x._mpf_
@@ -89,10 +91,6 @@ def fraction_from_mpf(x) -> Fraction:
         return Fraction(0)
     frac = Fraction(man) * Fraction(2) ** exp
     return -frac if sign else frac
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 def _check_real(name: str, x) -> None:
@@ -172,21 +170,17 @@ _values: OrderedDict = OrderedDict()
 _values_lock = threading.Lock()
 
 
-def _weight(n: int, k: int) -> Fraction:
-    """(-1)^(k+1) s1(k, n) / (k+1)!, the weight of P_(k+1) in the n-th
-    coefficient of every family.  Kept out of `__all__`: it runs per term."""
-    return Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1))
+def _weight(n: int, k: int) -> int:
+    """(-1)^(k+1) s1(k, n), the weight of q_k in the n-th coefficient of
+    every family.  Kept out of `__all__`: it runs per term."""
+    return (-1) ** (k + 1) * stirling1(k, n)
 
 
-def _terms(n: int, x, lam: Fraction | None) -> Iterator:
-    """Series terms _weight(n, k) * P_(k+1)(x) for k = n, n+1, ..., where
-    P is the Bernoulli family (lam None) or the Apostol-Bernoulli family of
-    lam.  Rational x yields exact Fractions; otherwise each exact Appell
-    row is evaluated by Horner at working precision."""
-    exact = _is_rational(x)
-    if not exact:
-        x = to_mpf(x)
-    key = (x, lam) if exact else (x, lam, mp.prec)
+def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
+    """Series terms _weight(n, k) * q_k for k = n, n+1, ..., with
+    q_k = P_(k+1)(x) / (k+1)! rounded once, where P is the Bernoulli family
+    (lam None) or the Apostol-Bernoulli family of lam."""
+    key = (x, lam, mp.prec)
     with _values_lock:
         values = _values.setdefault(key, [])
         _values.move_to_end(key)
@@ -195,23 +189,12 @@ def _terms(n: int, x, lam: Fraction | None) -> Iterator:
     k = n
     while True:
         with _values_lock:
-            for m in range(len(values), k + 2):
-                values.append(appell_value(m, x, lam) if exact
-                              else eval_polynomial(appell_row(m, lam), x))
-        w = _weight(n, k)
-        yield w * values[k + 1] if exact else to_mpf(w) * values[k + 1]
+            for m in range(len(values), k + 1):
+                num, den = appell_ratio(m + 1, x, lam)
+                values.append(mp.make_mpf(
+                    from_rational(num, den * factorial(m + 1), mp.prec, round_nearest)))
+        yield _weight(n, k) * values[k]
         k += 1
-
-
-def _shifted(a):
-    """a - 1, exact for rational a; call at working precision."""
-    return Fraction(a) - 1 if _is_rational(a) else to_mpf(a) - 1
-
-
-def _lam_as_fraction(lam) -> Fraction:
-    # every representable real lam is (dyadic) rational, so the exact
-    # Apostol-Bernoulli table applies verbatim
-    return Fraction(lam) if _is_rational(lam) else fraction_from_mpf(lam)
 
 
 def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
@@ -219,11 +202,11 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     with workdps(query.digits):
         n = query.n
         if query.family == "lerch":
-            lam, offset = _lam_as_fraction(query.lam), mpf(0)
+            lam, offset = fraction_from_mpf(query.lam), mpf(0)
         else:
             lam, offset = None, mpf(-1)
         series = sum_semiconvergent(
-            _terms(n, _shifted(query.a), lam),
+            _terms(n, fraction_from_mpf(query.a) - 1, lam),
             start=n, max_terms=query.max_terms, trace=query.trace,
         )
         value = offset + series.value
@@ -298,7 +281,7 @@ def log_gamma_series(
         raise ValueError("a must be non-negative")
     with workdps(digits):
         series = sum_semiconvergent(
-            _terms(1, a, None),
+            _terms(1, fraction_from_mpf(a), None),
             start=1, max_terms=max_terms, trace=trace,
         )
         return replace(series, value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
@@ -315,12 +298,17 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
     the two agree to working precision.
     """
     coeffs = [Fraction(c) for c in poly_coeffs]
+    D = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (D // c.denominator) for c in reversed(coeffs)]  # D * f
     with workdps(digits):
         xv = to_mpf(x)
         lhs = mpf(0)
         weight = mpf(1)  # x^k / k!
         for k in range(K + 1):
-            lhs += to_mpf(sum(c * k**p for p, c in enumerate(coeffs))) * weight
+            Df = 0
+            for c in scaled:
+                Df = Df * k + c
+            lhs += to_mpf(Fraction(Df, D)) * weight
             weight = weight * xv / (k + 1)
         rhs = mpf(0)
         for m, am in enumerate(coeffs):
@@ -368,7 +356,7 @@ def system_residual(
         for n in range(k, top + 1):
             res = first if n == k else coeff(n)
             lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * (res.value - res.offset))
-        lamf = _lam_as_fraction(lam) if family == "lerch" else None
+        lamf = fraction_from_mpf(lam) if family == "lerch" else None
         # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!
-        rhs = (-1) ** k * to_mpf(next(_terms(k, _shifted(a), lamf)))
+        rhs = (-1) ** k * next(_terms(k, fraction_from_mpf(a) - 1, lamf))
         return lhs - rhs

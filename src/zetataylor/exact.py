@@ -1,17 +1,16 @@
 """Exact big-rational combinatorics.
 
 Everything in this module is computed in exact arithmetic: Stirling numbers
-of both kinds are Python ints, all other quantities are `fractions.Fraction`
-values (always canonical, denominator > 0).  The Bernoulli convention is
-B1 = -1/2.
+of both kinds and the Appell numbers (scaled by a known denominator) are
+Python ints, all other quantities are `fractions.Fraction` values (always
+canonical, denominator > 0).  The Bernoulli convention is B1 = -1/2.
 
-Rational arguments only.  Callers with non-rational arguments should fetch
-the exact coefficient tuples (`appell_row`) and do the final Horner step in
-floating point.
+Rational arguments only; every mpf is a dyadic rational, so callers pass
+its exact value.
 
 All caches grow under a lock, so concurrent callers always observe values
 identical to a fresh recomputation.  The Appell cache holds only numbers:
-rows and values (`appell_value`, integer arithmetic) are built from them on
+rows and values (`appell_ratio`, integer arithmetic) are built from them on
 each call, and at most 8 Apostol-Bernoulli families are kept.
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial
 
 __all__ = [
     "StirlingTable",
@@ -29,6 +28,7 @@ __all__ = [
     "exp_polynomial_coeffs",
     "bernoulli_number",
     "appell_row",
+    "appell_ratio",
     "appell_value",
     "bernoulli_polynomial",
     "bernoulli_polynomial_coeffs",
@@ -115,46 +115,57 @@ def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
 # Bernoulli polynomials and the Apostol-Bernoulli values beta_m(x, lam),
 # defined by z*e^(x*z) / (lam*e^z - 1) = sum_m beta_m(x, lam) z^m / m!, are
 # both Appell sequences, P_m(x) = sum_p C(m, p) b_(m-p) x^p, fixed by the
-# numbers b_j = P_j(0).  Bernoulli (keyed None): b_j = B_j.  For lam != 1,
-# matching coefficients of z^m/m! in the generating function times
-# (lam*e^z - 1) gives
+# numbers b_j = P_j(0).  Each family keeps them as integers N_j = b_j * D_j.
+# Bernoulli (keyed None): b_j = B_j, D_j = (j+1)!, and sum_{j<=m} C(m+1, j)
+# B_j = 0 gives N_m = -sum_{j<m} C(m+1, j) N_j m!/(j+1)!.  For lam = p/q != 1
+# in lowest terms, matching coefficients of z^m/m! in the generating function
+# times (lam*e^z - 1) gives (lam - 1)*b_m + lam * sum_{j<m} C(m, j)*b_j = [m = 1],
+# so with d = p - q and D_j = d^j,
 #
-#   (lam - 1)*b_m + lam * sum_{j<m} C(m, j)*b_j = [m = 1],
+#   N_m = [m = 1]*q - p * sum_{1<=j<m} C(m, j) N_j d^(m-1-j),
 #
-# so b_0 = 0 and Apostol row m has length m (row 0 is (0,)).  One cache holds
-# each family's numbers: Bernoulli stays, at most _APPELL_LAMBDAS Apostol
+# N_0 = 0 and Apostol row m has length m (row 0 is (0,)).  One cache holds
+# each family's integers: Bernoulli stays, at most _APPELL_LAMBDAS Apostol
 # families are kept, least recently used out.
 _APPELL_LAMBDAS = 8
-_appell: OrderedDict = OrderedDict({None: [Fraction(1)]})
+_appell: OrderedDict = OrderedDict({None: [1]})
 _appell_lock = threading.Lock()
 
 
-def _numbers(n: int, lam: RationalLike | None) -> list[Fraction]:
-    """b_0..b_n (at least) of the family of lam (None: Bernoulli), made most recently used."""
+def _numbers(n: int, lam: RationalLike | None) -> tuple[list[int], int | None]:
+    """N_0..N_n (at least) of the family of lam, made most recently used,
+    and the family's d (None: Bernoulli)."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    d = None
     if lam is not None:
         lam = Fraction(lam)
         if lam == 1:
             raise ValueError("apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial")
+        p, q = lam.numerator, lam.denominator
+        d = p - q
     with _appell_lock:
         if lam in _appell:
             _appell.move_to_end(lam)
         else:
-            _appell[lam] = []
+            _appell[lam] = [0]
             if len(_appell) > _APPELL_LAMBDAS + 1:
                 del _appell[next(key for key in _appell if key is not None)]
         numbers = _appell[lam]
         for m in range(len(numbers), n + 1):
-            if lam is None:  # sum_{j<=m} C(m+1, j) B_j = 0; odd B_m vanish for m > 1
-                numbers.append(
-                    Fraction(0) if m > 2 and m % 2 == 1
-                    else -sum(comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1)
-                )
+            if d is None:  # odd B_m vanish for m > 1
+                numbers.append(0 if m > 2 and m % 2 == 1 else -sum(
+                    comb(m + 1, j) * numbers[j] * (factorial(m) // factorial(j + 1))
+                    for j in range(m)))
             else:
-                acc = sum(comb(m, j) * numbers[j] for j in range(m))
-                numbers.append((int(m == 1) - lam * acc) / (lam - 1))
-        return numbers
+                acc = sum(comb(m, j) * numbers[j] * d ** (m - 1 - j) for j in range(1, m))
+                numbers.append(int(m == 1) * q - p * acc)
+        return numbers, d
+
+
+def _number(j: int, numbers: list[int], d: int | None) -> Fraction:
+    """b_j = N_j / D_j."""
+    return Fraction(numbers[j], factorial(j + 1) if d is None else d**j)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -164,29 +175,33 @@ def bernoulli_number(n: int) -> Fraction:
     memoized; no floating-point shortcut is used since these feed a
     delicately cancelling asymptotic series.
     """
-    return _numbers(n, None)[n]
+    return _number(n, *_numbers(n, None))
 
 
 def appell_row(m: int, lam: RationalLike | None = None) -> tuple[Fraction, ...]:
     """Exact coefficients (ascending powers of x) of B_m(x) for lam None,
     else of the Apostol-Bernoulli value beta_m(x, lam), lam != 1."""
-    numbers = _numbers(m, lam)
-    width = m + 1 if lam is None else m
-    return tuple(comb(m, p) * numbers[m - p] for p in range(width)) or (Fraction(0),)
+    numbers, d = _numbers(m, lam)
+    width = m + 1 if d is None else m
+    return tuple(comb(m, p) * _number(m - p, numbers, d) for p in range(width)) or (Fraction(0),)
+
+
+def appell_ratio(m: int, x: RationalLike, lam: RationalLike | None = None) -> tuple[int, int]:
+    """P_m(x) of the family of `appell_row` at rational x = u/v as an
+    unreduced integer pair (num, D_m v^m), without a division: num is the
+    homogeneous Horner sum of C(m, j) N_j (D_m/D_j) u^(m-j) v^j."""
+    numbers, d = _numbers(m, lam)
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    acc = 0
+    for j in range(m + 1):  # D_j / D_(j-1) is j + 1 for Bernoulli, d for Apostol
+        acc = acc * u * (j + 1 if d is None else d) + comb(m, j) * numbers[j] * v**j
+    return acc, (factorial(m + 1) if d is None else d**m) * v**m
 
 
 def appell_value(m: int, x: RationalLike, lam: RationalLike | None = None) -> Fraction:
-    """P_m(x) of the family of `appell_row` at rational x, exact, in integer
-    arithmetic: with x = u/v, b_j = N_j/D_j and L = lcm(D_j),
-    P_m(x) = sum_j C(m, j) N_j (L/D_j) u^(m-j) v^j / (L v^m)."""
-    numbers = _numbers(m, lam)[: m + 1]
-    x = Fraction(x)
-    u, v = x.numerator, x.denominator
-    L = lcm(*(b.denominator for b in numbers))
-    acc = 0
-    for j, b in enumerate(numbers):  # homogeneous Horner in (u, v)
-        acc = acc * u + comb(m, j) * b.numerator * (L // b.denominator) * v**j
-    return Fraction(acc, L * v**m)
+    """P_m(x) of the family of `appell_row` at rational x, exact."""
+    return Fraction(*appell_ratio(m, x, lam))
 
 
 def bernoulli_polynomial_coeffs(n: int) -> tuple[Fraction, ...]:

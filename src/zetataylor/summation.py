@@ -3,8 +3,8 @@ semi-convergent (asymptotic) series.
 
 The number type throughout is mpmath's mpf at the caller's working
 precision (`mpmath.mp.dps`, in decimal digits).  Exact inputs (ints,
-Fractions) are converted once, at the summation boundary, with a few guard
-digits so the conversion itself is correctly rounded.
+Fractions) are converted once, at the summation boundary, and each
+conversion is correctly rounded.
 
 A semi-convergent series is divergent, but its partial sums first approach
 the target value; the usable accuracy is set by the smallest-magnitude
@@ -41,7 +41,7 @@ from typing import Iterable, Literal, Sequence
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import MPZ, dps_to_prec, fzero, mpf_add, mpf_mul
+from mpmath.libmp import from_rational, fzero, mpf_add, mpf_mul, round_nearest
 
 __all__ = [
     "TraceRecord",
@@ -52,44 +52,15 @@ __all__ = [
     "to_mpf",
 ]
 
-_CONVERSION_GUARD_DPS = 10
-
 TerminationReason = Literal["minimal_term", "converged", "max_terms"]
-
-
-def _round(man: int, shift: int, sticky: bool = False) -> int:
-    """man / 2^shift (shift >= 0) to nearest, ties to even, as mpmath rounds;
-    sticky marks a nonzero remainder below the last bit of man."""
-    t = man >> (shift - 1) if shift else man << 1
-    return (t >> 1) + bool(t & 1 and (t & 2 or sticky or man & ((1 << (shift - 1)) - 1)))
-
-
-def _ratio_mpf(p: int, q: int) -> tuple:
-    """Raw mpf of p/q (q > 1), computed in integers with the roundings of
-    `+(mpf(p) / q)` where the division runs under
-    `extradps(_CONVERSION_GUARD_DPS)`: p and the quotient to the guarded
-    precision, then the quotient to the working one."""
-    wp = dps_to_prec(mp.dps + _CONVERSION_GUARD_DPS)
-    e = max(0, abs(p).bit_length() - wp)
-    m = _round(abs(p), e)
-    k = wp + 2 + q.bit_length() - m.bit_length()  # a quotient of >= wp + 1 bits
-    quot, rem = divmod(m << k, q)
-    s = max(0, quot.bit_length() - wp)
-    m = _round(quot, s, rem != 0)
-    t = max(0, m.bit_length() - mp.prec)
-    m = _round(m, t)
-    tz = (m & -m).bit_length() - 1
-    return (int(p < 0), MPZ(m >> tz), e - k + s + t + tz, (m >> tz).bit_length())
 
 
 def to_mpf(x) -> mpf:
     """Convert x (int, Fraction, str, float, mpf) to mpf at the current
-    working precision.  Fraction conversion is done with guard digits so
-    the single final rounding is faithful."""
+    working precision.  A Fraction is rounded once, correctly (to nearest,
+    ties to even)."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return mpmath.mpf(x.numerator)
-        return mp.make_mpf(_ratio_mpf(x.numerator, x.denominator))
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     if isinstance(x, int):
         return mpmath.mpf(x)
     return +mpmath.mpmathify(x)

@@ -11,7 +11,9 @@ from mpmath import mpf, workdps
 from zetataylor import coefficients, verification
 from zetataylor.coefficients import (
     CoefficientQuery,
+    compute_coefficient,
     etf_check,
+    fraction_from_mpf,
     hurwitz_coefficient,
     lerch_coefficient,
     log_gamma_series,
@@ -178,7 +180,7 @@ def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
         for k in range(n, index + 1):
             folded = Fraction((-1) ** (k + 1), k * (k + 1))
             folded *= harmonic_number(k - 1) if n == 2 else 1
-            assert coefficients._weight(n, k) == folded, k
+            assert Fraction(coefficients._weight(n, k), factorial(k + 1)) == folded, k
 
 
 # ---------------------------- special paths ----------------------------
@@ -268,7 +270,7 @@ def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
     # PAPER.md's Lerch weight (-1)^(k-n+1) s1(k, n) / (k+1)! agrees with
     # the true one only where n is even, so only the m = 0 points hold
     def paper_weight(n, k):
-        return Fraction((-1) ** (k - n + 1) * stirling1(k, n), factorial(k + 1))
+        return (-1) ** (k - n + 1) * stirling1(k, n)
 
     monkeypatch.setattr(coefficients, "_weight", paper_weight)
     ok, detail = verification.check_newton_identity(30)
@@ -336,55 +338,80 @@ def test_system_residual_rejects_other_families():
 
 # ------------------------- shared value table --------------------------
 
-# Bits of every run n = 0..6, recorded before the value table existed:
-# per (family, a, lam, digits), the first 16 hex digits of the sha256 of
-# repr([(value._mpf_, error_estimate._mpf_, truncation_index,
-# terminated_by), ...]) with the mpf fields as int tuples.  The Lerch
-# digests carry the sign fix of the shared weight: derive_lerch_sign_repin.py
-# recomputes them from the older rows with value negated at odd n.
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_mpf_inputs_give_the_bits_of_their_working_precision_fraction(digits):
+    # an mpf or float input is rounded to working precision and then taken
+    # as its exact dyadic value; a fresh table on each side keeps either
+    # side from reading values the other left behind
+    with workdps(60):
+        lam60 = mpf("0.73")
+    runs = [("hurwitz", mpf(0.8), None), ("hurwitz", 0.8, None),
+            ("lerch", Fraction(7, 5), mpf(-0.41)), ("lerch", mpf(0.8), mpf(0.73)),
+            ("lerch", Fraction(7, 5), lam60)]
+    for family, a, lam in runs:
+        with workdps(digits):
+            exact_a = fraction_from_mpf(a)
+            exact_lam = None if lam is None else fraction_from_mpf(lam)
+        for n in range(7):
+            got, want = [], []
+            for side, args in ((got, (a, lam)), (want, (exact_a, exact_lam))):
+                coefficients._values.clear()
+                res = compute_coefficient(CoefficientQuery(family, n, *args, digits=digits))
+                side += [res.value._mpf_, res.error_estimate._mpf_,
+                         res.series.truncation_index, res.series.terminated_by]
+            assert got == want, (family, a, lam, n)
+
+# Bits of every run n = 0..6: per (family, a, lam, digits), the first 16
+# hex digits of the sha256 of repr([(value._mpf_, error_estimate._mpf_,
+# truncation_index, terminated_by), ...]) with the mpf fields as int tuples.
+# derive_value_table_repin.py printed them when the value table began to
+# round each q_k once: it checks against the older tree that no truncation
+# index or reason moved and that no value moved by more than 1e-25 of its
+# estimate (the largest move was 2.2e-31).
 BITS_A = {"1": 1, "7/5": Fraction(7, 5), "mpf0.8": mpf(0.8)}
 BITS_LAM = {None: None, "-1": Fraction(-1), "-5/6": Fraction(-5, 6), "1/3": Fraction(1, 3),
             "mpf-0.41": mpf(-0.41), "mpf0.73": mpf(0.73)}
 RUN_BITS = {
-    ("riemann", "1", None, 30): "111ddee1717c65f7",
+    ("riemann", "1", None, 30): "fd3d17ce2d1b1c56",
     ("hurwitz", "7/5", None, 30): "55bb73cebb96ddcd",
     ("lerch", "7/5", "-1", 30): "5a9f041824e06699",
-    ("lerch", "7/5", "-5/6", 30): "83e07213292d1004",
-    ("lerch", "7/5", "1/3", 30): "713d030145ef311c",
-    ("lerch", "7/5", "mpf-0.41", 30): "f9d3e8a627e877e9",
-    ("lerch", "7/5", "mpf0.73", 30): "2171974a15520b11",
-    ("hurwitz", "mpf0.8", None, 30): "87291791ca15cc47",
-    ("lerch", "mpf0.8", "-1", 30): "4cbd1ed3fefdfada",
-    ("lerch", "mpf0.8", "-5/6", 30): "cba70e41b4622976",
-    ("lerch", "mpf0.8", "1/3", 30): "ab1e0249150ac01d",
-    ("lerch", "mpf0.8", "mpf-0.41", 30): "e6f331bbdf37c51a",
-    ("lerch", "mpf0.8", "mpf0.73", 30): "e97091e7133c5b41",
-    ("riemann", "1", None, 50): "6d298b6d6cd9a376",
-    ("hurwitz", "7/5", None, 50): "632ec8261e0ac844",
-    ("lerch", "7/5", "-1", 50): "825c7047ec3916ac",
-    ("lerch", "7/5", "-5/6", 50): "2b5d1ff5d2621b93",
-    ("lerch", "7/5", "1/3", 50): "0f8a194bf2f7358c",
-    ("lerch", "7/5", "mpf-0.41", 50): "7fe071373c6a5b8c",
-    ("lerch", "7/5", "mpf0.73", 50): "2409060e8ae5248c",
-    ("hurwitz", "mpf0.8", None, 50): "a5b0d7d0b4544b20",
-    ("lerch", "mpf0.8", "-1", 50): "a6b940a5ddfb95a8",
-    ("lerch", "mpf0.8", "-5/6", 50): "6588b03b7db27e27",
+    ("lerch", "7/5", "-5/6", 30): "ee4fc353792b269b",
+    ("lerch", "7/5", "1/3", 30): "8fac786ea69ba134",
+    ("lerch", "7/5", "mpf-0.41", 30): "21f907cd89765994",
+    ("lerch", "7/5", "mpf0.73", 30): "58c9447d9ac3f2bd",
+    ("hurwitz", "mpf0.8", None, 30): "e75337da109c252b",
+    ("lerch", "mpf0.8", "-1", 30): "33ba0cb99d982b61",
+    ("lerch", "mpf0.8", "-5/6", 30): "c957b3278c685aec",
+    ("lerch", "mpf0.8", "1/3", 30): "636b6bd066f4602d",
+    ("lerch", "mpf0.8", "mpf-0.41", 30): "0fd6ad4329447386",
+    ("lerch", "mpf0.8", "mpf0.73", 30): "97f5076b5e346a88",
+    ("riemann", "1", None, 50): "5407f2173a98e09b",
+    ("hurwitz", "7/5", None, 50): "2c33f0390e5b9dab",
+    ("lerch", "7/5", "-1", 50): "791fc9d1e92e1a26",
+    ("lerch", "7/5", "-5/6", 50): "8604843cf91233b1",
+    ("lerch", "7/5", "1/3", 50): "52e5f790c07f3610",
+    ("lerch", "7/5", "mpf-0.41", 50): "2b5f01b758dd6c34",
+    ("lerch", "7/5", "mpf0.73", 50): "714934788088143b",
+    ("hurwitz", "mpf0.8", None, 50): "4fd6787030fa0802",
+    ("lerch", "mpf0.8", "-1", 50): "27358797bea2a1e8",
+    ("lerch", "mpf0.8", "-5/6", 50): "71198634f12f57d7",
     ("lerch", "mpf0.8", "1/3", 50): "ed440926a75ca9a8",
-    ("lerch", "mpf0.8", "mpf-0.41", 50): "7cffa0e2cd19877d",
-    ("lerch", "mpf0.8", "mpf0.73", 50): "3bae74cface602cf",
-    ("riemann", "1", None, 100): "2c908cfb4561280e",
-    ("hurwitz", "7/5", None, 100): "44cd089c1d05d83e",
-    ("lerch", "7/5", "-1", 100): "d9c07775230c19d8",
-    ("lerch", "7/5", "-5/6", 100): "aeca312f55219a04",
-    ("lerch", "7/5", "1/3", 100): "80f1b7245040eb03",
-    ("lerch", "7/5", "mpf-0.41", 100): "d94c0ecb1cf3e887",
-    ("lerch", "7/5", "mpf0.73", 100): "6f04eee4a4dc570a",
-    ("hurwitz", "mpf0.8", None, 100): "38abc51e9e6afb02",
-    ("lerch", "mpf0.8", "-1", 100): "726e2d9174888800",
-    ("lerch", "mpf0.8", "-5/6", 100): "b2f50bfad55891d1",
-    ("lerch", "mpf0.8", "1/3", 100): "fbbe0036ad3213b1",
-    ("lerch", "mpf0.8", "mpf-0.41", 100): "02367ed8a7fcedf6",
-    ("lerch", "mpf0.8", "mpf0.73", 100): "90d6bf4a0f85b00e",
+    ("lerch", "mpf0.8", "mpf-0.41", 50): "29b7be1fe9696c57",
+    ("lerch", "mpf0.8", "mpf0.73", 50): "324c36de4a165d30",
+    ("riemann", "1", None, 100): "13a48d32a7032267",
+    ("hurwitz", "7/5", None, 100): "30ebae75c3f45de7",
+    ("lerch", "7/5", "-1", 100): "f0bd0a1a8f609e4a",
+    ("lerch", "7/5", "-5/6", 100): "847f3e54ea2039bd",
+    ("lerch", "7/5", "1/3", 100): "cb316be83bad8dd5",
+    ("lerch", "7/5", "mpf-0.41", 100): "bbbb07dd2ec4265a",
+    ("lerch", "7/5", "mpf0.73", 100): "a448a4a22331407b",
+    ("hurwitz", "mpf0.8", None, 100): "15c13a62df6723bb",
+    ("lerch", "mpf0.8", "-1", 100): "ee882fafd8505a14",
+    ("lerch", "mpf0.8", "-5/6", 100): "af634334212bdd1e",
+    ("lerch", "mpf0.8", "1/3", 100): "f431edf9193da2a4",
+    ("lerch", "mpf0.8", "mpf-0.41", 100): "7efaa960a2c703a1",
+    ("lerch", "mpf0.8", "mpf0.73", 100): "c0b667dc60207a87",
 }
 
 

@@ -6,10 +6,12 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from zetataylor import coefficients, exact
 from zetataylor.coefficients import fraction_from_mpf
@@ -341,8 +343,9 @@ def test_caches_are_consistent_under_threads():
     assert len(keys) > coefficients._VALUE_LISTS
     starts = (0, 1, 3, 6)  # n = 0 weighs only P_1; n = 1 weighs P_2 .. P_9
 
-    def weight(n, k):
-        return Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1))
+    def q(x, lam, k, prec):  # P_(k+1)(x) / (k+1)!, rounded once at prec
+        value = sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam))) / factorial(k + 1)
+        return mpmath.mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
 
     def terms(x, lam, n):
         return tuple(islice(coefficients._terms(n, x, lam), 8))
@@ -370,10 +373,12 @@ def test_caches_are_consistent_under_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        with mpmath.workdps(30):  # the mpmath context is shared by every thread
+            prec = mpmath.mp.prec
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -383,13 +388,13 @@ def test_caches_are_consistent_under_threads():
     for lam, value in results[0][3]:
         assert value == apostol_series_division(14, Fraction(1, 3), lam)[14]
     for (x, lam, start), got in results[0][4]:  # serial reference, without the table
-        assert got == tuple(weight(start, k) * sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam)))
-                            for k in range(start, start + 8))
-    for key, values in coefficients._values.items():  # every value the table kept
-        if len(key) == 2:
-            x, lam = key
-            assert values == [sum(c * x**p for p, c in enumerate(appell_row(m, lam)))
-                              for m in range(len(values))], key
+        with mpmath.workprec(prec):
+            want = tuple((-1) ** (k + 1) * stirling1(k, start) * q(x, lam, k, prec)
+                         for k in range(start, start + 8))
+        assert [t._mpf_ for t in got] == [t._mpf_ for t in want], (x, lam, start)
+    for (x, lam, key_prec), values in coefficients._values.items():  # every value the table kept
+        assert [v._mpf_ for v in values] == [q(x, lam, k, key_prec)._mpf_
+                                             for k in range(len(values))], (x, lam, key_prec)
     assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
     assert None in exact._appell  # the Bernoulli family is never evicted
     assert len(coefficients._values) <= coefficients._VALUE_LISTS

@@ -193,26 +193,43 @@ def test_to_mpf_faithful_rounding():
 
 
 def _mpf_object_route(coeffs, x):
-    """to_mpf / eval_polynomial written with mpf objects and extradps."""
+    """eval_polynomial written with mpf objects: each exact coefficient
+    converted by one correctly rounded division of exact mpf values."""
     def conv(c):
-        if isinstance(c, Fraction) and c.denominator != 1:
-            with mpmath.extradps(10):
-                v = mpmath.mpf(c.numerator) / c.denominator
-            return +v
-        return mpmath.mpf(c.numerator if isinstance(c, Fraction) else c)
+        if isinstance(c, mpf):
+            return +c
+        c = Fraction(c)
+        with mpmath.workprec(max(c.numerator.bit_length(), c.denominator.bit_length()) + 1):
+            p, q = mpmath.mpf(c.numerator), mpmath.mpf(c.denominator)
+        return mpmath.fdiv(p, q)
     acc = mpf(0)
     for c in reversed(coeffs):
         acc = acc * conv(x) + conv(c)
     return acc
 
 
+def _assert_nearest_even(got, c, prec):
+    """got is c rounded to prec bits, to nearest with ties to even, checked
+    in exact Fraction arithmetic."""
+    sign, man, exp, bc = got._mpf_
+    man, exp = man << (prec - bc), exp - (prec - bc)  # a prec-bit mantissa
+    g = Fraction(-man if sign else man) * Fraction(2) ** exp
+    ulp = Fraction(2) ** exp
+    if man == 1 << (prec - 1) and abs(c) < abs(g):
+        ulp /= 2  # below a power of two the spacing halves
+    err = abs(c - g)
+    assert err <= ulp / 2, c
+    assert err < ulp / 2 or man % 2 == 0, c
+
+
 def _tie_cases(prec: int, wp: int) -> list[Fraction]:
-    """Ratios whose conversion meets a tie at the guarded precision wp, set
-    so that the final rounding to prec shows how the tie was broken: an exact
-    tie in the numerator (odd mantissa, so ties-to-even rounds up), and a
-    quotient tie that only the nonzero remainder breaks (even mantissa)."""
+    """Ratios next to a rounding tie, which a conversion that rounds twice
+    (first to a guarded precision wp, then to prec) gets wrong: a tie in the
+    numerator at wp, a quotient tie at wp that only the nonzero remainder
+    breaks, and exact ties at prec for an odd and an even mantissa."""
     g = wp - prec
-    cases = []
+    cases = [Fraction(2 * m + 1, 2**k) for m in (2 ** (prec - 1) + 1, 2 ** (prec - 1) + 2)
+             for k in (1, 7, 300)]
     for t in (2 ** (prec - 1) + 1, 2 ** (prec - 1) + 5):
         m = (t << g) | ((1 << (g - 1)) - 1)
         cases += [Fraction(-(2 * m + 1), 2**k) for k in (1, 7, 300)]
@@ -235,7 +252,7 @@ def test_integer_conversion_rounds_as_mpmath_does():
             cs = wide + _tie_cases(mpmath.mp.prec, mpmath.libmp.dps_to_prec(dps + 10))
             assert len(cs) > len(wide) + 6
             for c in cs:
-                assert to_mpf(c)._mpf_ == _mpf_object_route([c], 0)._mpf_, c
+                _assert_nearest_even(to_mpf(c), c, mpmath.mp.prec)
             x = mpf(0.8507938431825506)
             for m in (0, 1, 5, 40):
                 row = [c * 3**p for p, c in enumerate(cs[m:m + m + 1])]
