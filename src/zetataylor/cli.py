@@ -141,6 +141,9 @@ def _build_parser(default_digits: int) -> _Parser:
     return parser
 
 
+_parsers: dict[int, _Parser] = {}  # one per default precision
+
+
 def _make_queries(args) -> list[CoefficientQuery]:
     """One query per n; CoefficientQuery validates the domain."""
     a = Fraction(1) if args.a is None else args.a
@@ -191,19 +194,11 @@ def _cmd_coeff(args) -> int:
     if args.format == "json":
         for rec in records:
             print(json.dumps(rec.as_dict()))
-    else:
-        head = ["family", "n", "a", "lambda", "value", "error_estimate",
-                "truncation_index", "terminated_by"]
-        if args.verify:
-            head += ["oracle_value", "oracle_delta"]
-        rows = [head]
-        for rec in records:
-            row = [rec.family, str(rec.n), rec.a, rec.lam or "-", rec.value,
-                   rec.error_estimate, str(rec.truncation_index), rec.terminated_by]
-            if args.verify:
-                row += [rec.oracle_value, rec.oracle_delta]
-            rows.append(row)
-        widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
+    else:  # the JSON fields but the precision and budget, in the same order
+        table = [{k: "-" if v is None else str(v) for k, v in rec.as_dict().items()
+                  if k not in ("digits", "max_terms")} for rec in records]
+        rows = [list(table[0])] + [list(row.values()) for row in table]
+        widths = [max(map(len, column)) for column in zip(*rows)]
         for r in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
@@ -248,7 +243,9 @@ def main(argv=None) -> int:
             default_digits = int(env)
         except ValueError:
             print(f"zetataylor: ignoring non-integer ZETA_DIGITS={env!r}", file=sys.stderr)
-    parser = _build_parser(default_digits)
+    parser = _parsers.get(default_digits)
+    if parser is None:
+        parser = _parsers[default_digits] = _build_parser(default_digits)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

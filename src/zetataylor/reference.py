@@ -13,8 +13,11 @@ the series' own, `coefficients.CoefficientQuery`):
   n <= n_max in one pass: Euler-Maclaurin run in truncated power-series
   arithmetic in s (F. Johansson, Numer. Algorithms 69 (2015),
   arXiv:1309.2877) for Hurwitz/Riemann, the convergent log-power sum for
-  Lerch with |lam| < 1, and the duplication formula at lam = -1.  This is
-  the reference behind `coeff --verify`.
+  Lerch with |lam| < 1, each power stopped by its own tail bound, and the
+  duplication formula at lam = -1.  No c_n depends on n_max, so the jets
+  are kept: at most 16, keyed (family, a, lam, digits), least recently
+  used out, behind a lock; a call within a kept jet gets a copy of its
+  prefix.  This is the reference behind `coeff --verify`.
 * `taylor_coefficients_contour` - the paper's cross-check: coefficients
   extracted by the trapezoidal rule on a circle |s| = r < 1 (the pole at
   s = 1 stays outside).  The rule converges geometrically in the node
@@ -31,13 +34,17 @@ reduce sums in a fixed order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpc, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_log,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_sub)
 
 from .coefficients import CoefficientQuery, _check_real
 from .exact import bernoulli_number
@@ -54,13 +61,6 @@ __all__ = [
 ]
 
 _GUARD_DPS = 10
-
-
-def _next_pow2(n: int) -> int:
-    m = 32
-    while m < n:
-        m *= 2
-    return m
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,8 @@ class OracleConfig:
     @classmethod
     def for_digits(cls, digits: int) -> "OracleConfig":
         needed = math.ceil((digits + 5) / -math.log10(float(cls.contour_radius)))
-        return cls(
-            em_cutoff=digits + 10,
-            em_order=digits // 2 + 10,
-            contour_points=_next_pow2(needed),
-        )
+        points = 1 << max(5, (needed - 1).bit_length())  # a power of two >= 32
+        return cls(em_cutoff=digits + 10, em_order=digits // 2 + 10, contour_points=points)
 
 
 class OracleValue(NamedTuple):
@@ -159,12 +156,10 @@ def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
         total = mpc(0)
         pw = mpf(1)  # lam^n
         n = 0
-        while True:
+        while pw != 0:  # lam = 0, or lam^n underflowed
             total += pw * mpmath.power(av + n, -s)
             n += 1
             pw *= lamv
-            if pw == 0:
-                break
             # geometric tail bound: once the per-term ratio q < 1, the
             # remainder is below |term| * q / (1 - q)
             q = abs(lamv)
@@ -174,17 +169,16 @@ def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
                 t = abs(pw) * mpmath.power(av + n, sigma) if sigma > 0 else abs(pw)
                 if t * q / (1 - q) < eps:
                     break
-            if n > 10_000_000:  # pragma: no cover - unreachable for |lam| < 1
-                raise RuntimeError("lerch_phi failed to converge")
         return total
 
 
 def _power_jet(log_x, n_max: int) -> list:
     """Taylor coefficients in s of x^-s = exp(-s log x): (-log x)^k / k!,
-    k = 0..n_max, from log x."""
-    jet = [mpf(1)]
+    k = 0..n_max, from the raw mpf log x, as raw mpf values."""
+    prec, rnd = mp._prec_rounding
+    neg, jet = mpf_neg(log_x), [fone]
     for k in range(1, n_max + 1):
-        jet.append(jet[-1] * -log_x / k)
+        jet.append(mpf_div(mpf_mul(jet[-1], neg, prec, rnd), from_int(k), prec, rnd))
     return jet
 
 
@@ -197,19 +191,22 @@ def _hurwitz_jet(n_max: int, av, cfg: OracleConfig) -> tuple[list, list]:
     """(coefficients, truncation bounds) of zeta(s, a) through s^n_max:
     the Euler-Maclaurin formula of `hurwitz_zeta` with every term a jet.
 
-    (m+a)^-s is `_power_jet`; (N+a)^(1-s)/(s-1) = -(N+a) (N+a)^-s / (1-s)
-    is -(N+a) times the prefix sums of the (N+a)^-s jet; each correction
-    multiplies B_2j/(2j)! (N+a)^(1-2j) by the rising factorial (s)_(2j-1),
-    kept as an exact integer jet, and by the (N+a)^-s jet.  The bound is
-    the first omitted correction (j = J + 1) with every factor taken in
-    absolute value."""
+    (m+a)^-s is `_power_jet`, summed over m < N on raw mpf values;
+    (N+a)^(1-s)/(s-1) = -(N+a) (N+a)^-s / (1-s) is -(N+a) times the prefix
+    sums of the (N+a)^-s jet; each correction multiplies B_2j/(2j)!
+    (N+a)^(1-2j) by the rising factorial (s)_(2j-1), kept as an exact
+    integer jet, and by the (N+a)^-s jet.  The bound is the first omitted
+    correction (j = J + 1) with every factor taken in absolute value."""
     size = n_max + 1
-    total = [mpf(0)] * size
+    prec, rnd = mp._prec_rounding
+    head = [fzero] * size
     for m in range(cfg.em_cutoff):
-        for k, e in enumerate(_power_jet(mpmath.log(av + m), n_max)):
-            total[k] += e
+        x = mpf_add(av._mpf_, from_int(m), prec, rnd)
+        for k, e in enumerate(_power_jet(mpf_log(x, prec, rnd), n_max)):
+            head[k] = mpf_add(head[k], e, prec, rnd)
+    total = [mp.make_mpf(t) for t in head]
     edge = av + cfg.em_cutoff
-    edge_jet = _power_jet(mpmath.log(edge), n_max)
+    edge_jet = [mp.make_mpf(e) for e in _power_jet(mpmath.log(edge)._mpf_, n_max)]
     prefix = mpf(0)
     for k in range(size):
         prefix += edge_jet[k]
@@ -237,36 +234,49 @@ def _hurwitz_jet(n_max: int, av, cfg: OracleConfig) -> tuple[list, list]:
 
 def _lerch_jet(n_max: int, lamv, av) -> tuple[list, list]:
     """(coefficients, tail bounds) of Phi(lam, s, a) = sum_m lam^m (m+a)^-s
-    through s^n_max, for |lam| < 1: c_n = sum_m lam^m (-log(m+a))^n / n!.
+    through s^n_max, for |lam| < 1: c_k = (-1)^k S_k / k! with the power
+    sums S_k = sum_m lam^m log(m+a)^k, accumulated on raw mpf values.
 
-    From m + a >= 3 on, every later term of every c_n is below
-    U_m = |lam|^m log(m+a)^n_max, and U_(m+1)/U_m is at most
-    q = |lam| (log(m+a) / log(m+a-1))^n_max (log(x+1)/log(x) falls for
-    x > 1), so the tail after term m is below U_m q / (1 - q).  The sum
-    stops once that is under 10^-(working digits + 2)."""
-    eps = mpf(10) ** (-(mpmath.mp.dps + 2))
-    total = [mpf(0)] * (n_max + 1)
-    pw = mpf(1)  # lam^m
-    m = 0
-    log_prev = None
-    while True:
-        x = av + m
-        log_x = mpmath.log(x)
-        for k, e in enumerate(_power_jet(log_x, n_max)):
-            total[k] += pw * e
-        if log_prev is not None and x >= 3:
-            q = abs(lamv) * (log_x / log_prev) ** n_max
-            if q < 1:
-                tail = abs(pw) * log_x**n_max * q / (1 - q)
-                if tail < eps:
+    From m + a >= 3 on, every later term of S_k is below
+    U_m = |lam|^m log(m+a)^k, and U_(m+1)/U_m is at most
+    q = |lam| (log(m+a) / log(m+a-1))^k (log(x+1)/log(x) falls for x > 1),
+    so the tail after term m is below U_m q / (1 - q).  Each S_k stops at
+    the first m where its own tail is under 10^-(working digits + 2), so
+    neither c_k nor its bound depends on n_max.  That tail grows with k, so
+    the stopped S_k are always S_0 .. S_(done-1)."""
+    prec, rnd = mp._prec_rounding
+    eps = (mpf(10) ** (-(mp.dps + 2)))._mpf_
+    sums, tails = [fzero] * (n_max + 1), [fzero] * (n_max + 1)
+    done, pw, m, log_prev = 0, fone, 0, None  # pw = lam^m
+    while done <= n_max and pw != fzero:  # pw = 0: lam = 0 or lam^m underflowed, tails 0
+        x = mpf_add(av._mpf_, from_int(m), prec, rnd)
+        log_x = mpf_log(x, prec, rnd)
+        powers = [pw]  # lam^m log(m+a)^k
+        for k in range(n_max):
+            powers.append(mpf_mul(powers[-1], log_x, prec, rnd))
+        for k in range(done, n_max + 1):
+            sums[k] = mpf_add(sums[k], powers[k], prec, rnd)
+        if log_prev is not None and mpf_cmp(x, from_int(3)) >= 0:
+            ratio, q = mpf_div(log_x, log_prev, prec, rnd), mpf_abs(lamv._mpf_)
+            for k in range(done):
+                q = mpf_mul(q, ratio, prec, rnd)
+            while done <= n_max and mpf_lt(q, fone):
+                tail = mpf_div(mpf_mul(mpf_abs(powers[done]), q, prec, rnd),
+                               mpf_sub(fone, q, prec, rnd), prec, rnd)
+                if not mpf_lt(tail, eps):
                     break
-        log_prev = log_x
-        m += 1
-        pw *= lamv
-        if pw == 0:  # lam = 0, or lam^m underflowed
-            tail = mpf(0)
-            break
-    return total, [tail] * (n_max + 1)
+                tails[done], done = tail, done + 1
+                q = mpf_mul(q, ratio, prec, rnd)
+        log_prev, m, pw = log_x, m + 1, mpf_mul(pw, lamv._mpf_, prec, rnd)
+    values = [mpf_div(t, from_int(factorial(k)), prec, rnd) for k, t in enumerate(sums)]
+    return ([mp.make_mpf(mpf_neg(c) if k % 2 else c) for k, c in enumerate(values)],
+            [mp.make_mpf(t) for t in tails])
+
+
+# The kept jets of the module docstring, each the longest asked for so far.
+_JETS = 16
+_jets: OrderedDict = OrderedDict()
+_jets_lock = threading.Lock()
 
 
 def taylor_coefficients(
@@ -274,17 +284,29 @@ def taylor_coefficients(
 ) -> list[OracleValue]:
     """Taylor coefficients c_0..c_n_max at s = 0 of zeta(s, a) (family
     "hurwitz", or "riemann" with a = 1) or Phi(lam, s, a) (family "lerch",
-    -1 <= lam < 1), all from one pass at digits + 10 working digits.
+    -1 <= lam < 1), from the kept jet of (family, a, lam, digits) or from
+    one pass at digits + 10 working digits, which is then kept.
 
-    Hurwitz/Riemann run Euler-Maclaurin (cutoff N and order J of
-    `OracleConfig.for_digits`) in truncated power-series arithmetic in s.
-    Lerch with |lam| < 1 sums c_n = sum_m lam^m (-log(m+a))^n / n!
-    directly; lam = -1 uses the duplication formula
-    Phi(-1, s, a) = 2^-s [zeta(s, a/2) - zeta(s, (a+1)/2)].  Each error
-    estimate is the truncation bound (first omitted correction or tail)
-    plus the rounding floor 10^-(digits+2) (1 + |c_n|).
+    Lerch at lam = -1 uses Phi(-1, s, a) = 2^-s [zeta(s, a/2) -
+    zeta(s, (a+1)/2)].  Each error estimate is the truncation bound (first
+    omitted correction or tail) plus the floor 10^-(digits+2) (1 + |c_n|).
     """
     CoefficientQuery(family, n_max, a, lam, digits)
+    key = (family, a, lam, digits)
+    with _jets_lock:
+        jet = _jets.get(key, [])
+    if len(jet) <= n_max:
+        jet = _jet(family, n_max, a, lam, digits)
+    with _jets_lock:
+        if len(_jets.get(key, [])) < len(jet):
+            _jets[key] = jet
+        _jets.move_to_end(key)
+        if len(_jets) > _JETS:
+            _jets.popitem(last=False)
+    return jet[: n_max + 1]
+
+
+def _jet(family: str, n_max: int, a, lam, digits: int) -> list[OracleValue]:
     cfg = OracleConfig.for_digits(digits)
     with workdps(digits + _GUARD_DPS):
         av = to_mpf(a)
@@ -293,7 +315,7 @@ def taylor_coefficients(
         elif lam == -1:
             upper, upper_bound = _hurwitz_jet(n_max, av / 2, cfg)
             lower, lower_bound = _hurwitz_jet(n_max, (av + 1) / 2, cfg)
-            two = _power_jet(mpmath.log(2), n_max)
+            two = [mp.make_mpf(t) for t in _power_jet(mpmath.log(2)._mpf_, n_max)]
             values = _times(two, [u - v for u, v in zip(upper, lower)])
             bounds = _times([abs(t) for t in two],
                             [u + v for u, v in zip(upper_bound, lower_bound)])
@@ -340,14 +362,10 @@ def taylor_coefficients_contour(
         out = []
         for n in range(n_max + 1):
             rn = r**n
-            fine = mpc(0)
-            for j in range(two_m):
-                fine += values[j] * mpmath.expjpi(mpf(-2 * j * n) / two_m)
-            fine /= two_m * rn
-            coarse = mpc(0)
-            for j in range(M):
-                coarse += values[2 * j] * mpmath.expjpi(mpf(-2 * j * n) / M)
-            coarse /= M * rn
+            fine = sum((values[j] * mpmath.expjpi(mpf(-2 * j * n) / two_m)
+                        for j in range(two_m)), mpc(0)) / (two_m * rn)
+            coarse = sum((values[2 * j] * mpmath.expjpi(mpf(-2 * j * n) / M)
+                          for j in range(M)), mpc(0)) / (M * rn)
             floor = mpf(10) ** (-(digits + 2)) * (1 + abs(fine))
             out.append(OracleValue(fine.real, abs(fine - coarse) + floor))
         return out

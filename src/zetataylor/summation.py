@@ -156,7 +156,8 @@ def sum_semiconvergent(
     k = start - 1
     for raw in terms:
         k += 1
-        term = to_mpf(raw)
+        # a term already at working precision needs no rounding
+        term = raw if isinstance(raw, mpf) and raw._mpf_[3] <= mp.prec else to_mpf(raw)
         if not mpmath.isfinite(term):
             raise NonFiniteTermError(k)
         partial = partial + term

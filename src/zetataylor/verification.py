@@ -344,19 +344,23 @@ def check_series_vs_jet(digits):
 def check_contour_vs_jet(digits):
     # the paper's cross-check: one contour pass per function, set against
     # the jet and the series; each contour estimate is below 10^-digits and
-    # holds c_0 and zeta_1(1) = -log(2 pi)/2
+    # holds c_0, zeta_1(1) = -log(2 pi)/2 and the Lerch c_1(1, 1/2) =
+    # -sum_m 2^-m log(m+1), summed by mpmath
     worst, misses = mpf(0), []
-    cases = [("hurwitz", a, None) for a in (Fraction(1, 2), Fraction(1), Fraction(2))]
-    cases.append(("lerch", Fraction(1), Fraction(1, 2)))
-    with workdps(digits + 10):
+    cases = [("hurwitz", Fraction(a), None) for a in ("1/2", "1", "3/2", "2", "3")]
+    cases += [("lerch", Fraction(1), Fraction(1, 2)), ("lerch", Fraction(5, 4), Fraction(-1, 3))]
+    with workdps(digits + 15):
         zeta1_at_1 = -mpmath.log(2 * mpmath.pi) / 2
+        lerch1 = -mpmath.nsum(lambda m: mpf(2) ** -m * mpmath.log(m + 1), [0, mpmath.inf])
     with workdps(digits):
         for family, a, lam in cases:
             contour = reference.taylor_coefficients_contour(family, 4, a, lam, digits=digits)
             jet = reference.taylor_coefficients(family, 4, a, lam, digits=digits)
             closed = [to_mpf(Fraction(1, 2) - a if lam is None else 1 / (1 - lam))]
-            if family == "hurwitz" and a == 1:
+            if (a, lam) == (1, None):
                 closed.append(zeta1_at_1)
+            elif (a, lam) == (1, Fraction(1, 2)):
+                closed.append(lerch1)
             for n, (c, j) in enumerate(zip(contour, jet)):
                 worst = max(worst, abs(c.value - j.value) / (c.error_estimate + j.error_estimate))
                 ser = coeffs.compute_coefficient(coeffs.CoefficientQuery(family, n, a, lam, digits))

@@ -313,3 +313,50 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["value"] == "-1.5"
+
+
+def test_parser_is_kept_per_default_precision(capsys, monkeypatch):
+    from zetataylor import cli
+
+    for env in ("20", "25", "20"):  # ZETA_DIGITS is read on every call
+        monkeypatch.setenv("ZETA_DIGITS", env)
+        code, out, _ = run_cli(capsys, "coeff", "--family", "hurwitz", "--a", "2", "--n", "0")
+        assert code == 0
+        assert json.loads(out.strip())["digits"] == int(env)
+    kept = dict(cli._parsers)
+    assert {20, 25} <= set(kept)
+    code, _, err = run_cli(capsys, "coeff", "--family", "hurwitz", "--n", "zero")
+    assert code == 64
+    assert "usage:" in err
+    code, out, _ = run_cli(capsys, "coeff", "--family", "riemann", "--n", "0")
+    assert code == 0
+    assert json.loads(out.strip())["digits"] == 20
+    assert cli._parsers == kept and all(cli._parsers[d] is p for d, p in kept.items())
+
+
+# a session as the crosscheck benchmark makes them: calls on one
+# (family, a, lambda, digits) whose n ranges split 0..4, so some are served
+# from the reference's cache, some extend it, and some evict
+VERIFY_SESSION = [
+    ["--family=lerch", "--a=7/5", "--lambda=-5/7", "--digits=30", "--n=1..2"],
+    ["--family=hurwitz", "--a=7/3", "--digits=50", "--n=4"],
+    ["--family=lerch", "--a=7/5", "--lambda=-5/7", "--digits=30", "--n=0"],
+    ["--family=lerch", "--a=7/5", "--lambda=-5/7", "--digits=30", "--n=3..4"],
+    ["--family=hurwitz", "--a=7/3", "--digits=50", "--n=0..1"],
+    ["--family=lerch", "--a=3/2", "--lambda=-1", "--digits=30", "--n=0..4", "--format=table"],
+]
+
+
+def test_verify_session_in_one_process_prints_fresh_process_bytes(capsys):
+    fresh = [
+        subprocess.Popen([sys.executable, "-m", "zetataylor", "coeff", *argv, "--verify"],
+                         stdout=subprocess.PIPE, text=True)
+        for argv in VERIFY_SESSION
+    ]
+    from zetataylor import reference
+
+    reference._jets.clear()
+    for argv, proc in zip(VERIFY_SESSION, fresh):
+        code, out, _ = run_cli(capsys, "coeff", *argv, "--verify")
+        want, _ = proc.communicate(timeout=120)
+        assert (code, out) == (proc.returncode, want), argv

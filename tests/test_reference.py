@@ -2,12 +2,15 @@
 summation, the power-series coefficient reference, contour coefficient
 extraction, and the log-gamma reference."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf, workdps
 
+from zetataylor import reference
 from zetataylor.exact import apostol_bernoulli
 from zetataylor.reference import (
     OracleConfig,
@@ -72,20 +75,6 @@ def test_lerch_phi_rejects_unit_lambda():
         lerch_phi(0.5, 0, 1j)
     with pytest.raises(ValueError, match="lambda"):
         lerch_phi(0.5j, 0, 1)
-
-
-def test_contour_n0_closed_form():
-    (got,) = taylor_coefficients_contour("hurwitz", 0, Fraction(3, 2))
-    assert abs(got.value + 1) <= mpf("1e-20")
-
-
-def test_contour_lerch_n1_matches_direct_derivative():
-    # d/ds sum lam^m (m+1)^-s at s=0 is -sum lam^m log(m+1), an
-    # independently convergent sum
-    got = taylor_coefficients_contour("lerch", 1, 1, Fraction(1, 2), digits=30)[1]
-    with workdps(45):
-        want = -mpmath.nsum(lambda m: mpf(2) ** (-m) * mpmath.log(m + 1), [0, mpmath.inf])
-    assert abs(got.value - want) <= mpf("1e-25")
 
 
 def test_contour_golden_bits():
@@ -167,16 +156,6 @@ def test_jet_lerch_n0_closed_form():
         assert abs(got.value - to_mpf(1 / (1 - lam))) <= got.error_estimate
 
 
-def test_jet_matches_contour_within_combined_estimates():
-    cases = [("hurwitz", Fraction(1, 2), None), ("hurwitz", 3, None),
-             ("lerch", Fraction(5, 4), Fraction(-1, 3))]
-    for family, a, lam in cases:
-        jet = taylor_coefficients(family, 4, a, lam, digits=30)
-        contour = taylor_coefficients_contour(family, 4, a, lam, digits=30)
-        for j, c in zip(jet, contour):
-            assert abs(j.value - c.value) <= j.error_estimate + c.error_estimate
-
-
 def test_jet_domain_errors():
     with pytest.raises(ValueError, match="lambda"):
         taylor_coefficients("lerch", 1, 1, Fraction(3, 2))
@@ -196,6 +175,7 @@ def test_jet_domain_errors():
         taylor_coefficients("lerch", 1, 1, 0.5j)
     with pytest.raises(ValueError, match="a = 1"):
         taylor_coefficients("riemann", 1, Fraction(1, 2))
+    taylor_coefficients("hurwitz", 2, 1)  # a kept jet does not skip the checks
     for n_max in (-1, 1.0, True):
         with pytest.raises(ValueError, match="index n"):
             taylor_coefficients("hurwitz", n_max, 1)
@@ -233,3 +213,116 @@ def test_log_gamma_ref_domain():
         log_gamma_ref(0)
     with pytest.raises(ValueError, match="finite real"):
         log_gamma_ref(1j)
+
+
+# ---- the jet cache ----------------------------------------------------------
+
+with workdps(60):
+    _MPF_SHIFT, _MPF_LAMBDA = mpf(0.8), mpf(-0.41)
+
+JET_CASES = [
+    ("hurwitz", Fraction(7, 3), None),
+    ("hurwitz", _MPF_SHIFT, None),
+    ("riemann", 1, None),
+    ("lerch", Fraction(7, 5), Fraction(8, 11)),
+    ("lerch", Fraction(7, 5), Fraction(-1, 9)),
+    ("lerch", Fraction(3, 2), Fraction(-1)),
+    ("lerch", Fraction(1, 3), _MPF_LAMBDA),
+]
+
+
+def _bits(jet):
+    return [(v.value._mpf_, v.error_estimate._mpf_) for v in jet]
+
+
+def _uncached(family, n_max, a, lam, digits):
+    reference._jets.clear()
+    return _bits(taylor_coefficients(family, n_max, a, lam, digits=digits))
+
+
+def _cached(key, n_max):
+    family, a, lam = key
+    return _bits(taylor_coefficients(family, n_max, a, lam, digits=30))
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_jet_prefix_does_not_depend_on_n_max(digits):
+    # what makes the cache safe: c_n and its bar are the same bits whatever
+    # n_max they were computed with, so a cached prefix is the answer
+    for family, a, lam in JET_CASES:
+        full = _uncached(family, 6, a, lam, digits)
+        for m in range(7):
+            assert _uncached(family, m, a, lam, digits) == full[: m + 1], (family, a, lam, m)
+            assert _bits(taylor_coefficients(family, m, a, lam, digits=digits)) == full[: m + 1]
+
+
+def test_jet_bits_do_not_depend_on_request_order():
+    orders = [range(7), range(6, -1, -1), (3, 0, 6, 1, 5, 2, 4)]
+    for family, a, lam in JET_CASES:
+        want = {digits: _uncached(family, 6, a, lam, digits) for digits in (30, 50)}
+        for order in orders:
+            reference._jets.clear()
+            for m in order:
+                for digits in (30, 50):  # the precision is part of the key
+                    got = taylor_coefficients(family, m, a, lam, digits=digits)
+                    assert _bits(got) == want[digits][: m + 1], (family, a, lam, list(order), m)
+
+
+def test_jet_cache_is_bounded():
+    reference._jets.clear()
+    for i in range(40):
+        taylor_coefficients("hurwitz", 1, Fraction(i + 1, 7), digits=15)
+    assert len(reference._jets) == reference._JETS == 16
+
+
+def test_jet_cache_hands_out_copies():
+    reference._jets.clear()
+    first = taylor_coefficients("lerch", 3, Fraction(3, 2), Fraction(-1, 3), digits=30)
+    want = _bits(first)
+    first[0] = None
+    first.append(None)
+    shorter = taylor_coefficients("lerch", 1, Fraction(3, 2), Fraction(-1, 3), digits=30)
+    shorter.clear()
+    assert _bits(taylor_coefficients("lerch", 3, Fraction(3, 2), Fraction(-1, 3), digits=30)) == want
+
+
+def test_jet_cache_is_consistent_under_threads():
+    # more keys than the cache keeps, each thread in its own order and with
+    # its own n_max sequence, so entries are evicted, replaced and read at once
+    keys = [("hurwitz", Fraction(p, 7), None) for p in range(1, 12)]
+    keys += [("lerch", Fraction(3, 2), Fraction(s, p)) for p in (3, 5, 7) for s in (-1, 1)]
+    keys += [("lerch", Fraction(p, 3), Fraction(-1)) for p in (1, 2, 4)]
+    keys.append(("riemann", 1, None))
+    assert len(keys) > reference._JETS
+    n_maxes = (2, 6, 0, 4, 1, 5, 3)
+    with workdps(40):  # the mpmath context is shared; 40 is what every call sets
+        want = {(family, a, lam): _uncached(family, 6, a, lam, 30) for family, a, lam in keys}
+    reference._jets.clear()
+    results = [None] * 8
+
+    def work(i):
+        got = []
+        for j, key in enumerate(keys[i:] + keys[:i]):
+            n_max = n_maxes[(i + j) % len(n_maxes)]
+            got.append((key, n_max, _cached(key, n_max)))
+        results[i] = got
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workdps(40):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == len(keys)
+        for key, n_max, bits in got:
+            assert bits == want[key][: n_max + 1], (key, n_max)
+    assert len(reference._jets) <= reference._JETS
+    for (family, a, lam, digits), jet in reference._jets.items():
+        assert _bits(jet) == want[family, a, lam][: len(jet)]

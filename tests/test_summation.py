@@ -156,6 +156,21 @@ def test_determinism_bit_identical():
     assert r1.truncation_index == r2.truncation_index
 
 
+def test_every_term_is_at_working_precision():
+    # an mpf already at working precision is used as it is; a wider mpf, a
+    # Fraction, an int and a float are each rounded once, as to_mpf does
+    with mpmath.workdps(60):
+        wide, wider = mpf(1) / 3, mpf(-2) / 7
+    with mpmath.workdps(30):
+        raw = [mpf(1) / 7, wide, Fraction(-2, 3), 5, 0.1, wider]
+        res = sum_semiconvergent(iter(raw), start=0, max_terms=len(raw), trace=True)
+        want = [to_mpf(x)._mpf_ for x in raw]
+        prec = mpmath.mp.prec
+    assert [rec.term._mpf_ for rec in res.trace] == want
+    assert all(rec.term._mpf_[3] <= prec for rec in res.trace)
+    assert res.trace[1].term != wide
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(
