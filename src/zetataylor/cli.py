@@ -22,16 +22,16 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import workdps
 
 from .coefficients import (
     DEFAULT_DIGITS,
     DEFAULT_MAX_TERMS,
+    FAMILIES,
     CoefficientQuery,
     compute_coefficient,
 )
 from .reference import taylor_coefficients
-from .summation import to_mpf
+from .summation import working_precision
 from .verification import available_suites, run_suite
 
 __all__ = ["main", "OutputRecord"]
@@ -110,17 +110,17 @@ def _fmt_number(x, digits: int) -> str:
     return mpmath.nstr(x, digits, strip_zeros=True)
 
 
-def _build_parser(default_digits: int) -> _Parser:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="zetataylor", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--family", required=True, choices=["hurwitz", "riemann", "lerch"])
+        p.add_argument("--family", required=True, choices=FAMILIES)
         p.add_argument("--n", required=True, type=_n_range, help="index k or range lo..hi")
         p.add_argument("--a", type=_fraction, default=None, help="shift a > 0 (decimal or p/q)")
         p.add_argument("--lambda", dest="lam", type=_fraction, default=None,
                        help="lerch multiplier, |lambda| <= 1, lambda != 1")
-        p.add_argument("--digits", type=int, default=default_digits)
+        p.add_argument("--digits", type=int)
         p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
 
     coeff = sub.add_parser("coeff", help="compute coefficients")
@@ -137,11 +137,11 @@ def _build_parser(default_digits: int) -> _Parser:
 
     verify = sub.add_parser("verify", help="run self-check suites")
     verify.add_argument("--suite", choices=list(available_suites()), default="all")
-    verify.add_argument("--digits", type=int, default=default_digits)
+    verify.add_argument("--digits", type=int)
     return parser
 
 
-_parsers: dict[int, _Parser] = {}  # one per default precision
+_PARSER = _build_parser()  # --digits is None unless given; `main` fills it in
 
 
 def _make_queries(args) -> list[CoefficientQuery]:
@@ -169,7 +169,7 @@ def _cmd_coeff(args) -> int:
         oracle_value = oracle_delta = None
         if oracle is not None:
             ref = oracle[q.n]
-            with workdps(q.digits):
+            with working_precision(q.digits):
                 delta = result.value - ref.value
                 if abs(delta) > result.error_estimate + ref.error_estimate:
                     failed = True
@@ -243,13 +243,12 @@ def main(argv=None) -> int:
             default_digits = int(env)
         except ValueError:
             print(f"zetataylor: ignoring non-integer ZETA_DIGITS={env!r}", file=sys.stderr)
-    parser = _parsers.get(default_digits)
-    if parser is None:
-        parser = _parsers[default_digits] = _build_parser(default_digits)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.digits is None:
+        args.digits = default_digits
     try:
         if args.command == "coeff":
             return _cmd_coeff(args)

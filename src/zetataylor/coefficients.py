@@ -26,7 +26,8 @@ as it is, anything else rounded to working precision and taken as its
 dyadic value.  Each q_k is computed exactly in integers and rounded once,
 then shared by every n through a value table of at most 16 lists, keyed
 (x, lam, precision), least recently used out; a term is an integer times
-q_k, one more rounding.  The "-1" is an exact offset applied outside the
+q_k, one more rounding.  The table and every entry point's precision are
+held under `exact.LOCK`.  The "-1" is an exact offset applied outside the
 summation engine, so traces show the series itself and error estimates
 describe only the series.
 """
@@ -34,7 +35,6 @@ describe only the series.
 from __future__ import annotations
 
 import numbers
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,12 +42,14 @@ from math import factorial, lcm
 from typing import Iterator
 
 import mpmath
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .exact import (
+    LOCK,
     appell_ratio,
     exp_polynomial_coeffs,
+    kept,
     stirling1,
     stirling2,
 )
@@ -56,6 +58,7 @@ from .summation import (
     eval_polynomial,
     sum_semiconvergent,
     to_mpf,
+    working_precision,
 )
 
 __all__ = [
@@ -117,17 +120,15 @@ class CoefficientQuery:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"coefficient index n must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError("coefficient index n must be non-negative")
+        for name, value, least in (("coefficient index n", self.n, 0),
+                                   ("digits", self.digits, 15), ("max_terms", self.max_terms, 2)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
         _check_real("shift a", self.a)
         if self.lam is not None:
             _check_real("lambda", self.lam)
         if not self.a > 0:
             raise ValueError("shift a must be positive")
-        if self.digits < 15:
-            raise ValueError("precision must be at least 15 digits")
         if self.family == "riemann" and self.a != 1:
             raise ValueError("the riemann family fixes a = 1")
         if self.family == "lerch":
@@ -164,10 +165,9 @@ class CoefficientResult:
         return self.series.error_estimate
 
 
-# The value table of the module docstring; its lists grow only under the lock.
+# The value table of the module docstring; its lists grow only under LOCK.
 _VALUE_LISTS = 16
 _values: OrderedDict = OrderedDict()
-_values_lock = threading.Lock()
 
 
 def _weight(n: int, k: int) -> int:
@@ -180,26 +180,24 @@ def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
     """Series terms _weight(n, k) * q_k for k = n, n+1, ..., with
     q_k = P_(k+1)(x) / (k+1)! rounded once, where P is the Bernoulli family
     (lam None) or the Apostol-Bernoulli family of lam."""
-    key = (x, lam, mp.prec)
-    with _values_lock:
-        values = _values.setdefault(key, [])
-        _values.move_to_end(key)
-        if len(_values) > _VALUE_LISTS:
-            _values.popitem(last=False)
+    prec = mp.prec
+    with LOCK:
+        values = kept(_values, (x, lam, prec), _VALUE_LISTS, list)
     k = n
     while True:
-        with _values_lock:
-            for m in range(len(values), k + 1):
-                num, den = appell_ratio(m + 1, x, lam)
-                values.append(mp.make_mpf(
-                    from_rational(num, den * factorial(m + 1), mp.prec, round_nearest)))
+        if k >= len(values):
+            with LOCK:
+                for m in range(len(values), k + 1):
+                    num, den = appell_ratio(m + 1, x, lam)
+                    values.append(mp.make_mpf(
+                        from_rational(num, den * factorial(m + 1), prec, round_nearest)))
         yield _weight(n, k) * values[k]
         k += 1
 
 
 def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     """Evaluate one CoefficientQuery."""
-    with workdps(query.digits):
+    with working_precision(query.digits):
         n = query.n
         if query.family == "lerch":
             lam, offset = fraction_from_mpf(query.lam), mpf(0)
@@ -279,7 +277,7 @@ def log_gamma_series(
     _check_real("a", a)
     if not a >= 0:
         raise ValueError("a must be non-negative")
-    with workdps(digits):
+    with working_precision(digits):
         series = sum_semiconvergent(
             _terms(1, fraction_from_mpf(a), None),
             start=1, max_terms=max_terms, trace=trace,
@@ -300,7 +298,7 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
     coeffs = [Fraction(c) for c in poly_coeffs]
     D = lcm(*(c.denominator for c in coeffs))
     scaled = [c.numerator * (D // c.denominator) for c in reversed(coeffs)]  # D * f
-    with workdps(digits):
+    with working_precision(digits):
         xv = to_mpf(x)
         lhs = mpf(0)
         weight = mpf(1)  # x^k / k!
@@ -345,7 +343,7 @@ def system_residual(
     """
     if family not in ("hurwitz", "lerch"):
         raise ValueError("system_residual supports the hurwitz and lerch families")
-    with workdps(digits):
+    with working_precision(digits):
         def coeff(n: int) -> CoefficientResult:
             lam_n = lam if family == "lerch" else None
             return compute_coefficient(CoefficientQuery(family, n, a, lam_n, digits, max_terms))

@@ -8,10 +8,14 @@ canonical, denominator > 0).  The Bernoulli convention is B1 = -1/2.
 Rational arguments only; every mpf is a dyadic rational, so callers pass
 its exact value.
 
-All caches grow under a lock, so concurrent callers always observe values
-identical to a fresh recomputation.  The Appell cache holds only numbers:
-rows and values (`appell_ratio`, integer arithmetic) are built from them on
-each call, and at most 8 Apostol-Bernoulli families are kept.
+`LOCK`, re-entrant, is the package's one lock: each precision change
+(`summation.working_precision`) is made and each kept table grows under it,
+so threads calling zetataylor at different precisions get serial bits.  A
+short call may wait behind a long one; the GIL runs pure-Python mpmath one
+call at a time anyway.  mpmath calls made outside zetataylor at another
+precision in another thread remain unsafe.  The Appell tables hold only
+numbers: rows and values (`appell_ratio`, integer arithmetic) are built
+from them on each call, and at most 8 Apostol-Bernoulli families are kept.
 """
 
 from __future__ import annotations
@@ -39,6 +43,17 @@ __all__ = [
 
 RationalLike = Fraction | int
 
+LOCK = threading.RLock()
+
+
+def kept(table: OrderedDict, key, bound: int, make):
+    """table[key], made by make() if absent, as the most recently used
+    entry; the oldest entries beyond `bound` go.  Call it holding LOCK."""
+    table[key] = table.pop(key) if key in table else make()
+    if len(table) > bound:
+        table.popitem(last=False)
+    return table[key]
+
 
 class StirlingTable:
     """Triangular table of Stirling numbers, grown on demand by recurrence.
@@ -55,7 +70,6 @@ class StirlingTable:
             raise ValueError(f"unknown Stirling kind: {kind!r}")
         self.kind = kind
         self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
 
     def value(self, row: int, col: int) -> int:
         if row < 0 or col < 0:
@@ -67,7 +81,7 @@ class StirlingTable:
         return self._rows[row][col]
 
     def _grow(self, row_max: int) -> None:
-        with self._lock:
+        with LOCK:
             while len(self._rows) <= row_max:
                 r = len(self._rows) - 1  # index of the last complete row
                 prev = self._rows[-1]
@@ -124,12 +138,12 @@ def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
 #
 #   N_m = [m = 1]*q - p * sum_{1<=j<m} C(m, j) N_j d^(m-1-j),
 #
-# N_0 = 0 and Apostol row m has length m (row 0 is (0,)).  One cache holds
-# each family's integers: Bernoulli stays, at most _APPELL_LAMBDAS Apostol
-# families are kept, least recently used out.
+# N_0 = 0 and Apostol row m has length m (row 0 is (0,)).  The Bernoulli
+# integers are one list that stays; at most _APPELL_LAMBDAS Apostol families
+# are kept, least recently used out.
 _APPELL_LAMBDAS = 8
-_appell: OrderedDict = OrderedDict({None: [1]})
-_appell_lock = threading.Lock()
+_bernoulli = [1]
+_apostol: OrderedDict = OrderedDict()
 
 
 def _numbers(n: int, lam: RationalLike | None) -> tuple[list[int], int | None]:
@@ -144,14 +158,8 @@ def _numbers(n: int, lam: RationalLike | None) -> tuple[list[int], int | None]:
             raise ValueError("apostol-bernoulli undefined at lambda=1; use bernoulli_polynomial")
         p, q = lam.numerator, lam.denominator
         d = p - q
-    with _appell_lock:
-        if lam in _appell:
-            _appell.move_to_end(lam)
-        else:
-            _appell[lam] = [0]
-            if len(_appell) > _APPELL_LAMBDAS + 1:
-                del _appell[next(key for key in _appell if key is not None)]
-        numbers = _appell[lam]
+    with LOCK:
+        numbers = _bernoulli if d is None else kept(_apostol, lam, _APPELL_LAMBDAS, lambda: [0])
         for m in range(len(numbers), n + 1):
             if d is None:  # odd B_m vanish for m > 1
                 numbers.append(0 if m > 2 and m % 2 == 1 else -sum(
@@ -225,16 +233,8 @@ def apostol_bernoulli(n: int, a: RationalLike, lam: RationalLike) -> Fraction:
     return appell_value(n, a, lam)
 
 
-_harmonic_cache: list[Fraction] = [Fraction(0)]
-_harmonic_lock = threading.Lock()
-
-
 def harmonic_number(k: int) -> Fraction:
     """Harmonic number H_k = 1 + 1/2 + ... + 1/k, exact; H_0 = 0."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k >= len(_harmonic_cache):
-        with _harmonic_lock:
-            for m in range(len(_harmonic_cache), k + 1):
-                _harmonic_cache.append(_harmonic_cache[m - 1] + Fraction(1, m))
-    return _harmonic_cache[k]
+    return sum((Fraction(1, m) for m in range(1, k + 1)), Fraction(0))

@@ -16,8 +16,9 @@ the series' own, `coefficients.CoefficientQuery`):
   Lerch with |lam| < 1, each power stopped by its own tail bound, and the
   duplication formula at lam = -1.  No c_n depends on n_max, so the jets
   are kept: at most 16, keyed (family, a, lam, digits), least recently
-  used out, behind a lock; a call within a kept jet gets a copy of its
-  prefix.  This is the reference behind `coeff --verify`.
+  used out, under `exact.LOCK` like every entry point's precision; a call
+  within a kept jet gets a copy of its prefix.  This is the reference
+  behind `coeff --verify`.
 * `taylor_coefficients_contour` - the paper's cross-check: coefficients
   extracted by the trapezoidal rule on a circle |s| = r < 1 (the pole at
   s = 1 stays outside).  The rule converges geometrically in the node
@@ -34,7 +35,6 @@ reduce sums in a fixed order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,13 +42,13 @@ from math import factorial
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_log,
                           mpf_lt, mpf_mul, mpf_neg, mpf_sub)
 
 from .coefficients import CoefficientQuery, _check_real
-from .exact import bernoulli_number
-from .summation import to_mpf
+from .exact import bernoulli_number, kept
+from .summation import to_mpf, working_precision
 
 __all__ = [
     "OracleConfig",
@@ -114,7 +114,7 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
     _check_real("shift a", a)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
-    with workdps(digits + _GUARD_DPS):
+    with working_precision(digits + _GUARD_DPS):
         s = mpmath.mpmathify(s)
         av = to_mpf(a)
         if not av > 0:
@@ -143,7 +143,7 @@ def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
     for real |lam| < 1 strictly (a > 0, any complex s)."""
     _check_real("lambda", lam)
     _check_real("shift a", a)
-    with workdps(digits + _GUARD_DPS):
+    with working_precision(digits + _GUARD_DPS):
         lamv = to_mpf(lam)
         if not abs(lamv) < 1:
             raise ValueError("direct summation requires |lambda| < 1")
@@ -276,7 +276,6 @@ def _lerch_jet(n_max: int, lamv, av) -> tuple[list, list]:
 # The kept jets of the module docstring, each the longest asked for so far.
 _JETS = 16
 _jets: OrderedDict = OrderedDict()
-_jets_lock = threading.Lock()
 
 
 def taylor_coefficients(
@@ -292,37 +291,29 @@ def taylor_coefficients(
     omitted correction or tail) plus the floor 10^-(digits+2) (1 + |c_n|).
     """
     CoefficientQuery(family, n_max, a, lam, digits)
-    key = (family, a, lam, digits)
-    with _jets_lock:
-        jet = _jets.get(key, [])
-    if len(jet) <= n_max:
-        jet = _jet(family, n_max, a, lam, digits)
-    with _jets_lock:
-        if len(_jets.get(key, [])) < len(jet):
-            _jets[key] = jet
-        _jets.move_to_end(key)
-        if len(_jets) > _JETS:
-            _jets.popitem(last=False)
-    return jet[: n_max + 1]
+    with working_precision(digits + _GUARD_DPS):
+        jet = kept(_jets, (family, a, lam, digits), _JETS, list)
+        if len(jet) <= n_max:
+            jet[:] = _jet(family, n_max, a, lam, digits)
+        return jet[: n_max + 1]
 
 
 def _jet(family: str, n_max: int, a, lam, digits: int) -> list[OracleValue]:
     cfg = OracleConfig.for_digits(digits)
-    with workdps(digits + _GUARD_DPS):
-        av = to_mpf(a)
-        if family != "lerch":
-            values, bounds = _hurwitz_jet(n_max, av, cfg)
-        elif lam == -1:
-            upper, upper_bound = _hurwitz_jet(n_max, av / 2, cfg)
-            lower, lower_bound = _hurwitz_jet(n_max, (av + 1) / 2, cfg)
-            two = [mp.make_mpf(t) for t in _power_jet(mpmath.log(2)._mpf_, n_max)]
-            values = _times(two, [u - v for u, v in zip(upper, lower)])
-            bounds = _times([abs(t) for t in two],
-                            [u + v for u, v in zip(upper_bound, lower_bound)])
-        else:
-            values, bounds = _lerch_jet(n_max, to_mpf(lam), av)
-        unit = mpf(10) ** (-(digits + 2))
-        return [OracleValue(v, b + unit * (1 + abs(v))) for v, b in zip(values, bounds)]
+    av = to_mpf(a)
+    if family != "lerch":
+        values, bounds = _hurwitz_jet(n_max, av, cfg)
+    elif lam == -1:
+        upper, upper_bound = _hurwitz_jet(n_max, av / 2, cfg)
+        lower, lower_bound = _hurwitz_jet(n_max, (av + 1) / 2, cfg)
+        two = [mp.make_mpf(t) for t in _power_jet(mpmath.log(2)._mpf_, n_max)]
+        values = _times(two, [u - v for u, v in zip(upper, lower)])
+        bounds = _times([abs(t) for t in two],
+                        [u + v for u, v in zip(upper_bound, lower_bound)])
+    else:
+        values, bounds = _lerch_jet(n_max, to_mpf(lam), av)
+    unit = mpf(10) ** (-(digits + 2))
+    return [OracleValue(v, b + unit * (1 + abs(v))) for v, b in zip(values, bounds)]
 
 
 def taylor_coefficients_contour(
@@ -349,7 +340,7 @@ def taylor_coefficients_contour(
         cfg = OracleConfig.for_digits(digits)
     M = cfg.contour_points
     two_m = 2 * M
-    with workdps(digits + _GUARD_DPS):
+    with working_precision(digits + _GUARD_DPS):
         r = to_mpf(Fraction(cfg.contour_radius))
         upper = []
         for j in range(M + 1):
@@ -385,7 +376,7 @@ def log_gamma_ref(a, *, digits: int = 50) -> mpf:
     cut when the terms drop below it.
     """
     _check_real("a", a)
-    with workdps(digits + _GUARD_DPS):
+    with working_precision(digits + _GUARD_DPS):
         av = to_mpf(a)
         if not av > 0:
             raise ValueError("a must be positive")

@@ -35,13 +35,16 @@ conservative.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workdps
 from mpmath.libmp import from_rational, fzero, mpf_add, mpf_mul, round_nearest
+
+from .exact import LOCK
 
 __all__ = [
     "TraceRecord",
@@ -53,6 +56,14 @@ __all__ = [
 ]
 
 TerminationReason = Literal["minimal_term", "converged", "max_terms"]
+
+
+@contextmanager
+def working_precision(digits: int):
+    """Hold `exact.LOCK` and work at `digits` decimal digits: the one place
+    zetataylor changes mpmath's process-wide precision."""
+    with LOCK, workdps(digits):
+        yield
 
 
 def to_mpf(x) -> mpf:

@@ -13,11 +13,11 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath import mpf, workdps
+from mpmath import mpf
 
 from . import coefficients as coeffs
 from . import exact, reference
-from .summation import to_mpf
+from .summation import to_mpf, working_precision
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
@@ -108,7 +108,7 @@ def check_apostol_generating_function(digits):
     # sum_{n<=N} beta_n(a, lam) z^n / n! vs z e^(az)/(lam e^z - 1) at z=1/10
     lam, a, N = Fraction(2), Fraction(1), 12
     z = Fraction(1, 10)
-    with workdps(digits):
+    with working_precision(digits):
         lhs = to_mpf(
             sum(
                 exact.apostol_bernoulli(n, a, lam) * z**n / factorial(n)
@@ -141,7 +141,7 @@ def check_etf_identity(digits):
     places = min(25, digits - 5)  # the left sum loses about 5 digits to rounding
     tol = mpf(10) ** (-places)
     worst = mpf(0)
-    with workdps(digits):
+    with working_precision(digits):
         for p in polys:
             for x in xs:
                 lhs, rhs = coeffs.etf_check(p, x, K=120, digits=digits)
@@ -156,7 +156,7 @@ def check_etf_identity(digits):
 def check_hurwitz_n0_closed_form(digits):
     tol = mpf(10) ** (-(digits - 2))
     worst, ok = mpf(0), True
-    with workdps(digits):
+    with working_precision(digits):
         grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(10), mpmath.e]
         for a in grid:
             res = coeffs.hurwitz_coefficient(0, a, digits=digits)
@@ -167,7 +167,7 @@ def check_hurwitz_n0_closed_form(digits):
 
 
 def check_riemann_n1(digits):
-    with workdps(digits):
+    with working_precision(digits):
         res = coeffs.riemann_coefficient(1, digits=digits)
         want = -mpmath.log(2 * mpmath.pi) / 2
         delta = abs(res.value - want)
@@ -178,7 +178,7 @@ def check_riemann_n1(digits):
 def check_hurwitz_n1_loggamma(digits):
     ok = True
     details = []
-    with workdps(digits):
+    with working_precision(digits):
         for a in [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]:
             res = coeffs.hurwitz_coefficient(1, a, digits=digits)
             want = reference.log_gamma_ref(a, digits=digits) - mpmath.log(2 * mpmath.pi) / 2
@@ -191,7 +191,7 @@ def check_hurwitz_n1_loggamma(digits):
 def check_loggamma_series_zeros(digits):
     ok = True
     details = []
-    with workdps(digits):
+    with working_precision(digits):
         for a in (Fraction(0), Fraction(1)):
             res = coeffs.log_gamma_series(a, digits=digits)
             delta = abs(res.value)
@@ -205,7 +205,7 @@ def check_lerch_c0(digits):
     worst, ok = mpf(0), True
     lams = [Fraction(-1), Fraction(-1, 2), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]
     shifts = [Fraction(1, 2), Fraction(1), Fraction(2)]
-    with workdps(digits):
+    with working_precision(digits):
         for lam in lams:
             for a in shifts:
                 res = coeffs.lerch_coefficient(0, a, lam, digits=digits)
@@ -243,7 +243,7 @@ def check_newton_identity(digits):
 
 
 def check_system_residual(digits):
-    with workdps(digits):
+    with working_precision(digits):
         r0 = coeffs.system_residual("hurwitz", Fraction(1), k=0, digits=digits)
         est0 = coeffs.hurwitz_coefficient(0, Fraction(1), digits=digits).error_estimate
         ok = abs(r0) <= est0
@@ -260,7 +260,7 @@ def check_system_residual(digits):
 
 def check_em_reference_values(digits):
     tol = mpf(10) ** (-digits)
-    with workdps(digits):
+    with working_precision(digits):
         worst = abs(reference.hurwitz_zeta(2, 1, digits=digits) - mpmath.pi**2 / 6)
         for a in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(7, 2)):
             got = reference.hurwitz_zeta(0, a, digits=digits)
@@ -280,7 +280,7 @@ def _neg_int_tol(digits):
 def check_em_negative_integers(digits):
     tol = _neg_int_tol(digits)
     worst = mpf(0)
-    with workdps(digits):
+    with working_precision(digits):
         for k in range(9):
             for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
                 got = reference.hurwitz_zeta(-k, a, digits=digits)
@@ -296,7 +296,7 @@ def check_em_doubling(digits):
     more_n = reference.OracleConfig(base.em_cutoff * 2, base.em_order)
     more_j = reference.OracleConfig(base.em_cutoff, base.em_order * 2)
     worst = mpf(0)
-    with workdps(digits):
+    with working_precision(digits):
         half = mpf(0.5)
         ss = [mpf(0), half, -half, mpmath.mpc(0, half), mpmath.mpc(0, -half)]
         for s in ss:
@@ -311,7 +311,7 @@ def check_em_doubling(digits):
 def check_lerch_negative_integers(digits):
     tol = _neg_int_tol(digits)
     worst = mpf(0)
-    with workdps(digits):
+    with working_precision(digits):
         for m in range(7):
             for lam in (Fraction(1, 3), Fraction(1, 2)):
                 for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
@@ -325,7 +325,7 @@ def check_lerch_negative_integers(digits):
 def check_series_vs_jet(digits):
     ok = True
     details = []
-    with workdps(digits):
+    with working_precision(digits):
         for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
             jet = reference.taylor_coefficients("hurwitz", 4, a, digits=digits)
             for n in range(5):
@@ -349,10 +349,10 @@ def check_contour_vs_jet(digits):
     worst, misses = mpf(0), []
     cases = [("hurwitz", Fraction(a), None) for a in ("1/2", "1", "3/2", "2", "3")]
     cases += [("lerch", Fraction(1), Fraction(1, 2)), ("lerch", Fraction(5, 4), Fraction(-1, 3))]
-    with workdps(digits + 15):
+    with working_precision(digits + 15):
         zeta1_at_1 = -mpmath.log(2 * mpmath.pi) / 2
         lerch1 = -mpmath.nsum(lambda m: mpf(2) ** -m * mpmath.log(m + 1), [0, mpmath.inf])
-    with workdps(digits):
+    with working_precision(digits):
         for family, a, lam in cases:
             contour = reference.taylor_coefficients_contour(family, 4, a, lam, digits=digits)
             jet = reference.taylor_coefficients(family, 4, a, lam, digits=digits)
@@ -377,7 +377,7 @@ def check_contour_vs_jet(digits):
 def check_contour_stability(digits):
     tol = mpf(10) ** (-15)
     worst = mpf(0)
-    with workdps(digits):
+    with working_precision(digits):
         for a in (Fraction(1), Fraction(3, 2)):
             cfg_a = reference.OracleConfig(
                 digits + 10, digits // 2 + 10, Fraction(1, 4), 64
@@ -395,7 +395,7 @@ def check_contour_stability(digits):
 
 def check_loggamma_ref(digits):
     tol = mpf(10) ** (-digits)
-    with workdps(digits):
+    with working_precision(digits):
         worst = max(
             abs(reference.log_gamma_ref(1, digits=digits)),
             abs(reference.log_gamma_ref(2, digits=digits)),

@@ -4,11 +4,14 @@ guard that the registry holds every check once, and byte-identical CLI
 output.
 """
 
+import ast
+import importlib
 import subprocess
 import sys
 import time
 from collections import Counter
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,40 @@ def test_every_check_is_registered_once():
     ids = [cid for cid, _ in CHECKS]
     assert len(set(ids)) == len(ids)
     assert set(BUDGET_S) <= set(ids)
+
+
+PRECISION_SETTERS = {"workdps", "workprec", "extradps", "extraprec"}
+LOCK_TYPES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+
+def test_precision_changes_only_under_the_one_lock():
+    # mpmath's precision is process-wide, so src/ changes it in one place,
+    # summation.working_precision, which holds exact.LOCK, the only lock
+    # src/ makes; neither is in an __all__, whose names perfbench wraps
+    changes, locks = [], []
+    for path in sorted(Path(verification.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scope = {}
+        for fn in ast.walk(tree):  # the innermost function around each node
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            where = (path.name, scope.get(id(node)))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                changes += [where for t in targets
+                            if isinstance(t, ast.Attribute) and t.attr in ("dps", "prec")]
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in PRECISION_SETTERS:
+                changes.append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr",
+                                                      getattr(node.func, "id", None)) in LOCK_TYPES:
+                locks.append(where)
+    assert changes == [("summation.py", "working_precision")]
+    assert locks == [("exact.py", None)]
+    for module in ("", ".exact", ".summation", ".coefficients", ".reference", ".verification", ".cli"):
+        exported = set(importlib.import_module("zetataylor" + module).__all__)
+        assert not exported & {"LOCK", "kept", "working_precision"}, module
 
 
 def test_criterion_10_cli_determinism():

@@ -315,23 +315,30 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout.strip())["value"] == "-1.5"
 
 
-def test_parser_is_kept_per_default_precision(capsys, monkeypatch):
+def test_one_parser_serves_every_default_precision(capsys, monkeypatch):
     from zetataylor import cli
 
+    def rebuild():
+        raise AssertionError("main built a second parser")
+
+    parser = cli._PARSER
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
     for env in ("20", "25", "20"):  # ZETA_DIGITS is read on every call
         monkeypatch.setenv("ZETA_DIGITS", env)
         code, out, _ = run_cli(capsys, "coeff", "--family", "hurwitz", "--a", "2", "--n", "0")
         assert code == 0
         assert json.loads(out.strip())["digits"] == int(env)
-    kept = dict(cli._parsers)
-    assert {20, 25} <= set(kept)
     code, _, err = run_cli(capsys, "coeff", "--family", "hurwitz", "--n", "zero")
     assert code == 64
     assert "usage:" in err
     code, out, _ = run_cli(capsys, "coeff", "--family", "riemann", "--n", "0")
     assert code == 0
     assert json.loads(out.strip())["digits"] == 20
-    assert cli._parsers == kept and all(cli._parsers[d] is p for d, p in kept.items())
+    code, out, _ = run_cli(capsys, "coeff", "--family", "riemann", "--n", "0", "--digits", "30")
+    assert json.loads(out.strip())["digits"] == 30  # a given --digits wins
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
+    assert code == 0 and "(tol 1e-15)" in out  # the etf tolerance at 20 digits
+    assert cli._PARSER is parser
 
 
 # a session as the crosscheck benchmark makes them: calls on one

@@ -21,7 +21,7 @@ from zetataylor.coefficients import (
     system_residual,
 )
 from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, harmonic_number, stirling1
-from zetataylor.reference import taylor_coefficients
+from zetataylor.reference import taylor_coefficients, taylor_coefficients_contour
 from zetataylor.summation import eval_polynomial, to_mpf
 
 # frozen from independent 58-digit evaluations
@@ -114,6 +114,28 @@ def test_query_accepts_float_and_mpf_constants():
     CoefficientQuery("hurwitz", 1, a=0.5)
     CoefficientQuery("hurwitz", 1, a=mpmath.e)
     CoefficientQuery("lerch", 1, a=1, lam=-0.5)
+
+
+BOUNDARY_CALLS = {
+    "hurwitz_coefficient": lambda **kw: hurwitz_coefficient(1, Fraction(3, 2), **kw),
+    "riemann_coefficient": lambda **kw: riemann_coefficient(1, **kw),
+    "lerch_coefficient": lambda **kw: lerch_coefficient(1, Fraction(3, 2), Fraction(-1, 3), **kw),
+    "taylor_coefficients": lambda **kw: taylor_coefficients("hurwitz", 1, Fraction(3, 2), **kw),
+    "taylor_coefficients_contour":
+        lambda **kw: taylor_coefficients_contour("lerch", 1, 1, Fraction(1, 2), **kw),
+}
+BAD_SETTINGS = [("digits", None), ("digits", "30"), ("digits", 30.5), ("digits", True),
+                ("digits", 14), ("max_terms", 2.5), ("max_terms", None), ("max_terms", True),
+                ("max_terms", 1)]
+
+
+@pytest.mark.parametrize("call, field, value", [
+    (call, field, value) for call in BOUNDARY_CALLS for field, value in BAD_SETTINGS
+    if field == "digits" or not call.startswith("taylor")  # the reference has no budget
+])
+def test_bad_precision_or_budget_is_a_domain_error(call, field, value):
+    with pytest.raises(ValueError, match=field):
+        BOUNDARY_CALLS[call](**{field: value})
 
 
 # Every term path (Hurwitz, Lerch and log-gamma; rational and mpf x),
@@ -448,3 +470,4 @@ def test_value_table_keeps_bits_in_any_order():
         assert descending[run] == ascending[run], run
         assert interleaved[run] == ascending[run], run
     assert len(coefficients._values) <= coefficients._VALUE_LISTS
+

@@ -395,6 +395,6 @@ def test_caches_are_consistent_under_threads():
     for (x, lam, key_prec), values in coefficients._values.items():  # every value the table kept
         assert [v._mpf_ for v in values] == [q(x, lam, k, key_prec)._mpf_
                                              for k in range(len(values))], (x, lam, key_prec)
-    assert len(exact._appell) <= exact._APPELL_LAMBDAS + 1
-    assert None in exact._appell  # the Bernoulli family is never evicted
+    assert len(exact._apostol) <= exact._APPELL_LAMBDAS
+    assert len(exact._bernoulli) > 120  # the Bernoulli numbers are never evicted
     assert len(coefficients._values) <= coefficients._VALUE_LISTS

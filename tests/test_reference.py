@@ -5,13 +5,16 @@ extraction, and the log-gamma reference."""
 import sys
 import threading
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
 from mpmath import mpf, workdps
+from mpmath.libmp import from_rational, round_nearest
 
-from zetataylor import reference
-from zetataylor.exact import apostol_bernoulli
+from zetataylor import coefficients, reference
+from zetataylor.coefficients import hurwitz_coefficient, lerch_coefficient
+from zetataylor.exact import apostol_bernoulli, appell_row
 from zetataylor.reference import (
     OracleConfig,
     hurwitz_zeta,
@@ -326,3 +329,58 @@ def test_jet_cache_is_consistent_under_threads():
     assert len(reference._jets) <= reference._JETS
     for (family, a, lam, digits), jet in reference._jets.items():
         assert _bits(jet) == want[family, a, lam][: len(jet)]
+
+
+def test_threads_at_different_precisions_get_serial_bits():
+    # mpmath's precision is one process-wide setting: 4 threads at 30 and
+    # 100 digits, over more keys than the value table and the jet cache
+    # keep, must each get the bits of a serial run, leave only values of
+    # their key's precision in the tables, and leave mp.dps as it was
+    runs = [("hurwitz", Fraction(p, 7), None) for p in (2, 5, 9, 12, 20)]
+    runs += [("lerch", Fraction(3, 2), Fraction(-1, 3)), ("lerch", Fraction(3, 2), Fraction(1, 5)),
+             ("lerch", Fraction(3, 2), Fraction(-1)), ("lerch", Fraction(5, 4), Fraction(-1, 2))]
+    keys = [(run, digits) for run in runs for digits in (30, 100)]
+    assert len(keys) > coefficients._VALUE_LISTS and len(keys) > reference._JETS
+
+    def one(run, digits):
+        family, a, lam = run
+        series = [hurwitz_coefficient(n, a, digits=digits) if lam is None
+                  else lerch_coefficient(n, a, lam, digits=digits) for n in range(5)]
+        return ([(r.value._mpf_, r.error_estimate._mpf_, r.series.truncation_index,
+                  r.series.terminated_by) for r in series],
+                _bits(taylor_coefficients(family, 4, a, lam, digits=digits)))
+
+    want = {}
+    for run, digits in keys:
+        reference._jets.clear()
+        coefficients._values.clear()
+        want[run, digits] = one(run, digits)
+    reference._jets.clear()
+    coefficients._values.clear()
+    results = [None] * 4
+
+    def work(i):  # each thread starts at another key, so precisions interleave
+        results[i] = [(key, one(*key)) for key in keys[5 * i:] + keys[:5 * i]]
+
+    dps = mpmath.mp.dps
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mpmath.mp.dps == dps
+    wrong = [key for got in results for key, bits in got if bits != want[key]]
+    assert len(wrong) == 0 and all(len(got) == len(keys) for got in results), wrong
+    for (x, lam, prec), values in coefficients._values.items():  # every kept value list
+        exact_q = [sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam))) / factorial(k + 1)
+                   for k in range(len(values))]
+        assert [v._mpf_ for v in values] == [from_rational(q.numerator, q.denominator, prec,
+                                                           round_nearest) for q in exact_q]
+    for (family, a, lam, digits), jet in reference._jets.items():  # every kept jet
+        assert _bits(jet) == want[(family, a, lam), digits][1][: len(jet)]
