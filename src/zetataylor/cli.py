@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +33,7 @@ from .reference import taylor_coefficients
 from .summation import working_precision
 from .verification import available_suites, run_suite
 
-__all__ = ["main", "OutputRecord"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,32 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted coefficient: the query echo plus the numeric outcome,
-    all numbers as decimal strings that round-trip at the requested
-    precision."""
-
-    family: str
-    n: int
-    a: str
-    lam: str | None
-    digits: int
-    max_terms: int
-    value: str
-    error_estimate: str
-    truncation_index: int
-    terminated_by: str
-    oracle_value: str | None = None
-    oracle_delta: str | None = None
-
-    def as_dict(self) -> dict:
-        d = {"lambda" if k == "lam" else k: v for k, v in asdict(self).items()}
-        if self.oracle_value is None:  # the oracle fields exist exactly when --verify ran
-            del d["oracle_value"], d["oracle_delta"]
-        return d
 
 
 def _fraction(text: str) -> Fraction:
@@ -162,40 +135,33 @@ def _cmd_coeff(args) -> int:
         oracle = taylor_coefficients(
             first.family, max(args.n), first.a, first.lam, digits=first.digits
         )
-    records = []
+    records = []  # one dict per n: the query echo and the outcome, numbers as decimal strings
     failed = False
     for q in queries:
         result = compute_coefficient(q)
-        oracle_value = oracle_delta = None
-        if oracle is not None:
+        rec = {
+            "family": q.family, "n": q.n, "a": str(q.a),
+            "lambda": None if q.lam is None else str(q.lam),
+            "digits": q.digits, "max_terms": q.max_terms,
+            "value": _fmt_number(result.value, q.digits),
+            "error_estimate": _fmt_number(result.error_estimate, q.digits),
+            "truncation_index": result.series.truncation_index,
+            "terminated_by": result.series.terminated_by,
+        }
+        if oracle is not None:  # the oracle fields exist exactly when --verify ran
             ref = oracle[q.n]
             with working_precision(q.digits):
                 delta = result.value - ref.value
                 if abs(delta) > result.error_estimate + ref.error_estimate:
                     failed = True
-            oracle_value = _fmt_number(ref.value, q.digits)
-            oracle_delta = _fmt_number(delta, q.digits)
-        records.append(
-            OutputRecord(
-                family=q.family,
-                n=q.n,
-                a=str(q.a),
-                lam=str(q.lam) if q.lam is not None else None,
-                digits=q.digits,
-                max_terms=q.max_terms,
-                value=_fmt_number(result.value, q.digits),
-                error_estimate=_fmt_number(result.error_estimate, q.digits),
-                truncation_index=result.series.truncation_index,
-                terminated_by=result.series.terminated_by,
-                oracle_value=oracle_value,
-                oracle_delta=oracle_delta,
-            )
-        )
+            rec["oracle_value"] = _fmt_number(ref.value, q.digits)
+            rec["oracle_delta"] = _fmt_number(delta, q.digits)
+        records.append(rec)
     if args.format == "json":
         for rec in records:
-            print(json.dumps(rec.as_dict()))
+            print(json.dumps(rec))
     else:  # the JSON fields but the precision and budget, in the same order
-        table = [{k: "-" if v is None else str(v) for k, v in rec.as_dict().items()
+        table = [{k: "-" if v is None else str(v) for k, v in rec.items()
                   if k not in ("digits", "max_terms")} for rec in records]
         rows = [list(table[0])] + [list(row.values()) for row in table]
         widths = [max(map(len, column)) for column in zip(*rows)]

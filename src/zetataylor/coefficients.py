@@ -55,6 +55,7 @@ from .exact import (
 )
 from .summation import (
     SemiConvergentResult,
+    _check_int,
     eval_polynomial,
     sum_semiconvergent,
     to_mpf,
@@ -120,10 +121,9 @@ class CoefficientQuery:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name, value, least in (("coefficient index n", self.n, 0),
-                                   ("digits", self.digits, 15), ("max_terms", self.max_terms, 2)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+        _check_int("coefficient index n", self.n, 0)
+        _check_int("digits", self.digits, 15)
+        _check_int("max_terms", self.max_terms, 2)
         _check_real("shift a", self.a)
         if self.lam is not None:
             _check_real("lambda", self.lam)
@@ -277,6 +277,7 @@ def log_gamma_series(
     _check_real("a", a)
     if not a >= 0:
         raise ValueError("a must be non-negative")
+    _check_int("digits", digits, 15)
     with working_precision(digits):
         series = sum_semiconvergent(
             _terms(1, fraction_from_mpf(a), None),
@@ -295,6 +296,7 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
     polynomial f the right side is a finite sum, so with K large enough
     the two agree to working precision.
     """
+    _check_int("digits", digits, 15)
     coeffs = [Fraction(c) for c in poly_coeffs]
     D = lcm(*(c.denominator for c in coeffs))
     scaled = [c.numerator * (D // c.denominator) for c in reversed(coeffs)]  # D * f
@@ -343,12 +345,13 @@ def system_residual(
     """
     if family not in ("hurwitz", "lerch"):
         raise ValueError("system_residual supports the hurwitz and lerch families")
-    with working_precision(digits):
-        def coeff(n: int) -> CoefficientResult:
-            lam_n = lam if family == "lerch" else None
-            return compute_coefficient(CoefficientQuery(family, n, a, lam_n, digits, max_terms))
 
-        first = coeff(k)
+    def coeff(n: int) -> CoefficientResult:
+        lam_n = lam if family == "lerch" else None
+        return compute_coefficient(CoefficientQuery(family, n, a, lam_n, digits, max_terms))
+
+    first = coeff(k)  # the query checks digits and max_terms
+    with working_precision(digits):
         top = N if N is not None else max(k, first.series.truncation_index)
         lhs = mpf(0)
         for n in range(k, top + 1):

@@ -3,7 +3,9 @@
 Five pieces, none of which touches the Stirling/Bernoulli coefficient
 series (the Bernoulli numbers from `exact` are the only shared numerics, so
 agreement between the two routes is meaningful evidence; the domain rule is
-the series' own, `coefficients.CoefficientQuery`):
+the series' own, `coefficients.CoefficientQuery`).  The last is read off
+the third's jet, so it is a second view of that reference, not a check of
+it:
 
 * `hurwitz_zeta` - Euler-Maclaurin evaluation of zeta(s, a) for complex
   s != 1, precision-controlled by the cutoff N and correction order J.
@@ -24,9 +26,10 @@ the series' own, `coefficients.CoefficientQuery`):
   s = 1 stays outside).  The rule converges geometrically in the node
   count; the reported error estimate is the change when the node count is
   doubled.
-* `log_gamma_ref` - log Gamma by argument raising into the large-argument
-  Stirling regime, independent of the small-argument series in
-  `coefficients.log_gamma_series`.
+* `log_gamma_ref` - log Gamma by Lerch's formula (DLMF 25.11.18),
+  log Gamma(a) = zeta'(0, a) + log(2 pi)/2, with zeta'(0, a) the c_1 of
+  the kept Hurwitz jet of `taylor_coefficients`; it is independent of the
+  series in `coefficients.log_gamma_series`, but not of the jet.
 
 All evaluations run with 10 guard digits over the requested precision and
 reduce sums in a fixed order, so results are reproducible bit for bit.
@@ -48,7 +51,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_
 
 from .coefficients import CoefficientQuery, _check_real
 from .exact import bernoulli_number, kept
-from .summation import to_mpf, working_precision
+from .summation import _check_int, to_mpf, working_precision
 
 __all__ = [
     "OracleConfig",
@@ -111,6 +114,7 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
     with (s)_m the rising factorial.  At negative integer s the corrections
     terminate and the value is exact up to rounding.
     """
+    _check_int("digits", digits, 15)
     _check_real("shift a", a)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
@@ -141,6 +145,7 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
 def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
     """Phi(lam, s, a) = sum_n lam^n (n+a)^-s by direct summation,
     for real |lam| < 1 strictly (a > 0, any complex s)."""
+    _check_int("digits", digits, 15)
     _check_real("lambda", lam)
     _check_real("shift a", a)
     with working_precision(digits + _GUARD_DPS):
@@ -363,45 +368,8 @@ def taylor_coefficients_contour(
 
 
 def log_gamma_ref(a, *, digits: int = 50) -> mpf:
-    """Reference log Gamma(a) for a > 0: raise the argument until the
-    large-argument Stirling series reaches the target precision, then
-    subtract the accumulated logs.
-
-        log Gamma(a) = log Gamma(a + m) - sum_{j<m} log(a + j)
-        log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
-                       + sum_j B_{2j} / ((2j)(2j-1) z^(2j-1))
-
-    The Stirling tail at cutoff z decays to about e^(-2 pi z) at its
-    minimal term, so z is sized from the digit target and the series is
-    cut when the terms drop below it.
-    """
-    _check_real("a", a)
+    """log Gamma(a) for a > 0 by Lerch's formula, at digits + 10 working
+    digits: zeta'(0, a), the c_1 of the kept Hurwitz jet, plus log(2 pi)/2."""
+    c1 = taylor_coefficients("hurwitz", 1, a, digits=digits)[1].value
     with working_precision(digits + _GUARD_DPS):
-        av = to_mpf(a)
-        if not av > 0:
-            raise ValueError("a must be positive")
-        dps = mpmath.mp.dps
-        z_min = int(0.37 * (dps + 8)) + 3
-        shift = max(0, z_min - int(mpmath.floor(av)))
-        z = av + shift
-        lead = (z - mpf(0.5)) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
-        tol = mpf(10) ** (-(dps + 2))
-        acc = mpf(0)
-        zpow = z  # z^(2j-1)
-        z2 = z * z
-        prev = None
-        j = 1
-        while True:
-            term = to_mpf(bernoulli_number(2 * j)) / ((2 * j) * (2 * j - 1) * zpow)
-            if abs(term) < tol:
-                break
-            if prev is not None and abs(term) > prev:  # pragma: no cover
-                raise RuntimeError("Stirling tail grew before reaching tolerance")
-            acc += term
-            prev = abs(term)
-            zpow *= z2
-            j += 1
-        total = lead + acc
-        for i in range(shift):
-            total -= mpmath.log(av + i)
-        return total
+        return c1 + mpmath.log(2 * mpmath.pi) / 2

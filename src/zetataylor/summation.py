@@ -10,27 +10,30 @@ A semi-convergent series is divergent, but its partial sums first approach
 the target value; the usable accuracy is set by the smallest-magnitude
 term.  `sum_semiconvergent` accumulates terms until one of:
 
-* two consecutive terms fall below the convergence threshold (the series
-  behaved like an ordinary convergent one), or
+* two consecutive terms fall below the fixed threshold 10^-(dps+5) (the
+  series behaved like an ordinary convergent one), or
 * the terms have passed through a minimum: after at least one magnitude
   decrease has been seen, two further terms each at least as large as
   their predecessor are taken as evidence that the minimum is behind us.
   The sum is then truncated just after the smallest-magnitude term and the
   first omitted term is reported as the error estimate, or
 * `max_terms` terms have been consumed (no minimum was detected; the
-  magnitude of the last term at or above the convergence threshold is
-  reported as the error estimate, which for a divergent tail honestly
-  signals that no accuracy was achieved).
+  magnitude of the last term at or above the threshold is reported as the
+  error estimate, which for a divergent tail honestly signals that no
+  accuracy was achieved).
 
-Terms below the convergence threshold (in particular exact zeros from
-vanishing odd-index Bernoulli numbers) are included in the sum but ignored
-by the minimum detection, which would otherwise mistake every such dip for
+Terms below the threshold (in particular exact zeros from vanishing
+odd-index Bernoulli numbers) are included in the sum but ignored by the
+minimum detection, which would otherwise mistake every such dip for
 renewed convergence.  The two growth sightings need not be consecutive:
 series whose odd-index terms are exponentially small but not exactly zero
 interleave a decaying subsequence with the structurally growing one, and
-requiring adjacency would defeat detection exactly there.  Ties at the
-minimum truncate at the earlier index, which keeps the error estimate
-conservative.
+requiring adjacency would defeat detection exactly there.  The cut is
+tracked as the terms arrive: the first term at or above the threshold
+after the current minimum fixes it, and a new minimum clears it.  A tie is
+not a new minimum, so ties truncate at the earlier index, which keeps the
+error estimate conservative.  Per-term records exist only when a trace is
+asked for.
 """
 
 from __future__ import annotations
@@ -64,6 +67,13 @@ def working_precision(digits: int):
     zetataylor changes mpmath's process-wide precision."""
     with LOCK, workdps(digits):
         yield
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an int (bool excluded) of at least
+    `least`: the one check of every entry point's `digits` and budget."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
 def to_mpf(x) -> mpf:
@@ -106,12 +116,12 @@ class SemiConvergentResult:
 
     `value` is the partial sum through `truncation_index`.  For
     minimal-term truncation `error_estimate` is the magnitude of the first
-    omitted term; for threshold convergence it is the threshold itself;
-    when `max_terms` was hit it is the magnitude of the last generated
-    term at or above the threshold (an exact zero in last place says
-    nothing about the tail).  `trace` (if requested) covers every
-    generated term, including the ones past the truncation point that
-    triggered the stop.
+    omitted term, kept from the moment it arrived; for convergence it is
+    the fixed threshold 10^-(dps+5) itself; when `max_terms` was hit it is
+    the magnitude of the last generated term at or above the threshold (an
+    exact zero in last place says nothing about the tail).  `trace` is
+    None unless requested; then it covers every generated term, including
+    the ones past the truncation point that triggered the stop.
     """
 
     value: mpf
@@ -135,7 +145,6 @@ def sum_semiconvergent(
     *,
     start: int = 0,
     max_terms: int = 64,
-    convergence_threshold=None,
     trace: bool = False,
 ) -> SemiConvergentResult:
     """Sum an indexed series (term k = start, start+1, ...) with
@@ -145,24 +154,15 @@ def sum_semiconvergent(
     yield Fractions directly.  The generator is consumed at most
     `max_terms` times and must be fresh (not shared between calls).
     """
-    if max_terms < 2:
-        raise ValueError("max_terms must be at least 2")
-    if convergence_threshold is None:
-        threshold = mpf(10) ** (-(mp.dps + 5))
-    else:
-        threshold = to_mpf(convergence_threshold)
-    if not threshold > 0:
-        raise ValueError("convergence_threshold must be positive")
-
-    records: list[TraceRecord] = []
+    _check_int("max_terms", max_terms, 2)
+    threshold = mpf(10) ** (-(mp.dps + 5))
+    records: list[TraceRecord] | None = [] if trace else None
     partial = mpf(0)
-    min_mag = None
-    min_pos: int | None = None
-    prev_mag = None
+    min_mag = prev_mag = None
+    cut = None  # (k - 1, partial sum before term k, |term k|)
     seen_descent = False
-    growth_sightings = 0
-    consecutive_small = 0
-    reason: TerminationReason | None = None
+    growth_sightings = consecutive_small = 0
+    reason: TerminationReason = "max_terms"  # also when the generator runs dry
 
     k = start - 1
     for raw in terms:
@@ -171,8 +171,9 @@ def sum_semiconvergent(
         term = raw if isinstance(raw, mpf) and raw._mpf_[3] <= mp.prec else to_mpf(raw)
         if not mpmath.isfinite(term):
             raise NonFiniteTermError(k)
-        partial = partial + term
-        records.append(TraceRecord(k, term, partial))
+        before, partial = partial, partial + term
+        if records is not None:
+            records.append(TraceRecord(k, term, partial))
         mag = abs(term)
         if mag < threshold:
             consecutive_small += 1
@@ -187,43 +188,23 @@ def sum_semiconvergent(
                 elif seen_descent:
                     growth_sightings += 1
             if min_mag is None or mag < min_mag:
-                min_mag = mag
-                min_pos = k
+                min_mag, cut = mag, None
+            elif cut is None:
+                cut = (k - 1, before, mag)
             prev_mag = mag
             if growth_sightings >= 2:
                 reason = "minimal_term"
                 break
-        if len(records) >= max_terms:
-            reason = "max_terms"
+        if k - start + 1 >= max_terms:
             break
 
-    if not records:
+    if k < start:
         raise ValueError("term generator produced no terms")
-    if reason is None:
-        # generator ran dry before any stopping rule fired
-        reason = "max_terms"
-
-    kept = tuple(records) if trace else None
-    if reason == "converged":
-        last = records[-1]
-        return SemiConvergentResult(last.partial_sum, +threshold, last.k, reason, kept)
-    if reason == "max_terms":
-        # prev_mag is the magnitude of the last term at or above threshold
-        last = records[-1]
-        estimate = abs(last.term) if prev_mag is None else prev_mag
-        return SemiConvergentResult(last.partial_sum, estimate, last.k, reason, kept)
-    # minimal_term: truncate just before the first non-negligible term
-    # after the minimum; everything in between is zero-like and does not
-    # change the partial sum.
-    assert min_pos is not None
-    next_pos = None
-    for rec in records[min_pos - start + 1 :]:
-        if abs(rec.term) >= threshold:
-            next_pos = rec.k
-            break
-    assert next_pos is not None
-    cut = records[next_pos - start - 1]
-    omitted = records[next_pos - start]
-    return SemiConvergentResult(
-        cut.partial_sum, abs(omitted.term), cut.k, reason, kept
-    )
+    kept = None if records is None else tuple(records)
+    if reason == "minimal_term":
+        index, value, estimate = cut
+    elif reason == "converged":
+        index, value, estimate = k, partial, +threshold
+    else:  # prev_mag is the magnitude of the last term at or above threshold
+        index, value, estimate = k, partial, abs(term) if prev_mag is None else prev_mag
+    return SemiConvergentResult(value, estimate, index, reason, kept)

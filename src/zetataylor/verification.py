@@ -17,7 +17,7 @@ from mpmath import mpf
 
 from . import coefficients as coeffs
 from . import exact, reference
-from .summation import to_mpf, working_precision
+from .summation import _check_int, to_mpf, working_precision
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
@@ -454,15 +454,17 @@ def available_suites() -> tuple[str, ...]:
 
 def run_suite(name: str, digits: int, out) -> bool:
     """Run one suite (or 'all'); print one line per check to `out`.
-    Returns True iff every check passed.  Raises ValueError below 15
-    digits, the precision floor of every coefficient query."""
-    if digits < 15:
-        raise ValueError("precision must be at least 15 digits")
+    Returns True iff every check passed.  Raises ValueError for an unknown
+    suite and unless digits is an int of at least 15, the precision floor
+    of every coefficient query."""
+    _check_int("digits", digits, 15)
     if name == "all":
         ok = True
         for sub in SUITES:
             ok = run_suite(sub, digits, out) and ok
         return ok
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {available_suites()}")
     checks = SUITES[name]
     all_ok = True
     for label, fn in checks:

@@ -1,9 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from hashlib import sha256
 
 import mpmath
 import pytest
@@ -288,7 +291,7 @@ def test_verify_rejects_low_precision(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite=identities", "--digits=5")
     assert code == 2
     assert out == ""
-    assert "at least 15 digits" in err
+    assert "digits must be an int of at least 15, got 5" in err
 
 
 def test_verify_output_deterministic(capsys):
@@ -367,3 +370,52 @@ def test_verify_session_in_one_process_prints_fresh_process_bytes(capsys):
         code, out, _ = run_cli(capsys, "coeff", *argv, "--verify")
         want, _ = proc.communicate(timeout=120)
         assert (code, out) == (proc.returncode, want), argv
+
+
+# One sha256 pins the bytes of a fixed grid of in-process commands: coeff
+# as JSON, as a table and under --verify at 30 and 50 digits for seven
+# functions, five traces (their output is the CSV) and two verify suites.
+# `derive_cli_pin.py` re-derives the digest and lists the commands whose
+# bytes moved.
+PIN_FUNCTIONS = [
+    ["--family=riemann"],
+    ["--family=hurwitz", "--a=1/10"],
+    ["--family=hurwitz", "--a=7/3"],
+    ["--family=hurwitz", "--a=0.8"],
+    ["--family=lerch", "--a=7/5", "--lambda=-5/7"],
+    ["--family=lerch", "--a=1", "--lambda=1/2"],
+    ["--family=lerch", "--a=1/3", "--lambda=-1"],
+]
+PIN_GRID = [
+    ["coeff", *f, f"--digits={d}", "--n=0..4", *mode]
+    for f in PIN_FUNCTIONS for d in (30, 50) for mode in ([], ["--format=table"], ["--verify"])
+]
+PIN_GRID += [["trace", *PIN_FUNCTIONS[i], "--digits=30", f"--n={n}"]
+             for i, n in ((0, 1), (1, 2), (2, 3), (4, 1), (6, 2))]
+PIN_GRID += [["verify", f"--suite={s}", "--digits=30"] for s in ("identities", "coefficients")]
+CLI_PIN = "5a8ccd1c75a386cd81a7436c7d5e296cc6e8c583d8df78291e08f08bcb8dc02a"
+
+
+def pin_outputs(main, out_dir) -> list:
+    """(exit code, output) of each PIN_GRID command, run in-process at
+    mpmath's default ambient precision, as in a fresh process."""
+    csv = out_dir / "trace.csv"
+    rows = []
+    with mpmath.workdps(15):
+        for argv in PIN_GRID:
+            extra = ["--out", str(csv)] if argv[0] == "trace" else []
+            with redirect_stdout(io.StringIO()) as out:
+                code = main(argv + extra)
+            rows.append((code, csv.read_text() if extra else out.getvalue()))
+    return rows
+
+
+def pin_digest(rows) -> str:
+    h = sha256()
+    for code, out in rows:
+        h.update(f"{code} {len(out)}\n{out}".encode())
+    return h.hexdigest()
+
+
+def test_cli_bytes_match_the_pinned_digest(tmp_path):
+    assert pin_digest(pin_outputs(main, tmp_path)) == CLI_PIN

@@ -1,6 +1,7 @@
 """Coefficient series: closed forms, cross-path consistency, diagnostics."""
 
 import hashlib
+import io
 from fractions import Fraction
 from math import factorial
 
@@ -21,8 +22,14 @@ from zetataylor.coefficients import (
     system_residual,
 )
 from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, harmonic_number, stirling1
-from zetataylor.reference import taylor_coefficients, taylor_coefficients_contour
-from zetataylor.summation import eval_polynomial, to_mpf
+from zetataylor.reference import (
+    hurwitz_zeta,
+    lerch_phi,
+    log_gamma_ref,
+    taylor_coefficients,
+    taylor_coefficients_contour,
+)
+from zetataylor.summation import eval_polynomial, sum_semiconvergent, to_mpf
 
 # frozen from independent 58-digit evaluations
 HALF_LOG_2PI = "0.9189385332046727417803297364056176398613974736377834128"
@@ -123,7 +130,19 @@ BOUNDARY_CALLS = {
     "taylor_coefficients": lambda **kw: taylor_coefficients("hurwitz", 1, Fraction(3, 2), **kw),
     "taylor_coefficients_contour":
         lambda **kw: taylor_coefficients_contour("lerch", 1, 1, Fraction(1, 2), **kw),
+    # the entry points outside CoefficientQuery run its int check before
+    # they use the setting; log_gamma_ref and system_residual build a query
+    "log_gamma_series": lambda **kw: log_gamma_series(1, **kw),
+    "etf_check": lambda **kw: etf_check((1,), 1, **kw),
+    "hurwitz_zeta": lambda **kw: hurwitz_zeta(2, 1, **kw),
+    "lerch_phi": lambda **kw: lerch_phi(0.5, 0, 1, **kw),
+    "run_suite": lambda digits: verification.run_suite("identities", digits, io.StringIO()),
+    "sum_semiconvergent": lambda max_terms: sum_semiconvergent(iter([1, 2]), max_terms=max_terms),
+    "log_gamma_ref": lambda **kw: log_gamma_ref(Fraction(1, 2), **kw),
+    "system_residual": lambda **kw: system_residual("hurwitz", 1, **kw),
 }
+NO_BUDGET = ("taylor_coefficients", "taylor_coefficients_contour", "etf_check", "hurwitz_zeta",
+             "lerch_phi", "run_suite", "log_gamma_ref")
 BAD_SETTINGS = [("digits", None), ("digits", "30"), ("digits", 30.5), ("digits", True),
                 ("digits", 14), ("max_terms", 2.5), ("max_terms", None), ("max_terms", True),
                 ("max_terms", 1)]
@@ -131,11 +150,16 @@ BAD_SETTINGS = [("digits", None), ("digits", "30"), ("digits", 30.5), ("digits",
 
 @pytest.mark.parametrize("call, field, value", [
     (call, field, value) for call in BOUNDARY_CALLS for field, value in BAD_SETTINGS
-    if field == "digits" or not call.startswith("taylor")  # the reference has no budget
+    if call not in (NO_BUDGET if field == "max_terms" else ("sum_semiconvergent",))
 ])
 def test_bad_precision_or_budget_is_a_domain_error(call, field, value):
     with pytest.raises(ValueError, match=field):
         BOUNDARY_CALLS[call](**{field: value})
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verification.run_suite("bogus", 30, io.StringIO())
 
 
 # Every term path (Hurwitz, Lerch and log-gamma; rational and mpf x),

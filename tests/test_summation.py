@@ -41,11 +41,14 @@ def test_all_zero_series_converges():
 
 
 def test_geometric_series_converges_to_closed_form():
-    terms = ((-Fraction(1, 2)) ** k for k in range(200))
-    res = sum_semiconvergent(terms, start=0, max_terms=150, convergence_threshold=mpf("1e-30"))
+    # at the fixture's 60 digits the threshold is 1e-65, and 2^-k first
+    # falls below it at k = 216
+    terms = ((-Fraction(1, 2)) ** k for k in range(300))
+    res = sum_semiconvergent(terms, start=0, max_terms=300)
     assert res.terminated_by == "converged"
-    assert abs(res.value - to_mpf(Fraction(2, 3))) <= mpf("1e-30")
-    assert res.error_estimate == mpf("1e-30")
+    assert res.truncation_index == 217
+    assert abs(res.value - to_mpf(Fraction(2, 3))) <= mpf("1e-55")
+    assert res.error_estimate == mpf(10) ** -65
 
 
 def test_alternating_series_error_bounded_by_first_omitted():
@@ -54,7 +57,6 @@ def test_alternating_series_error_bounded_by_first_omitted():
         ((-1) ** (k + 1) * Fraction(1, k * k) for k in range(1, 2000)),
         start=1,
         max_terms=500,
-        convergence_threshold=mpf("1e-8"),
     )
     limit = mpmath.pi**2 / 12
     first_omitted = Fraction(1, (res.truncation_index + 1) ** 2)
@@ -139,8 +141,6 @@ def test_non_finite_term_raises_with_index():
 def test_precondition_validation():
     with pytest.raises(ValueError):
         sum_semiconvergent(iter([1, 2, 3]), max_terms=1)
-    with pytest.raises(ValueError):
-        sum_semiconvergent(iter([1, 2, 3]), convergence_threshold=0)
     with pytest.raises(ValueError):
         sum_semiconvergent(iter([]))
 
@@ -272,3 +272,42 @@ def test_integer_conversion_rounds_as_mpmath_does():
             for m in (0, 1, 5, 40):
                 row = [c * 3**p for p, c in enumerate(cs[m:m + m + 1])]
                 assert eval_polynomial(row, x)._mpf_ == _mpf_object_route(row, x)._mpf_
+
+
+def parent_rule_cut(records, threshold):
+    """The cut of a minimal-term stop re-derived from a full trace: the
+    first term at or above the threshold after the first smallest such
+    term is omitted, and the sum runs through the record before it."""
+    big = [i for i, r in enumerate(records) if abs(r.term) >= threshold]
+    low = min(big, key=lambda i: abs(records[i].term))  # min keeps the first of a tie
+    omitted = next(i for i in big if i > low)
+    return records[omitted - 1].k, records[omitted - 1].partial_sum, abs(records[omitted].term)
+
+
+# at the fixture's 60 digits the threshold is 1e-65: these sit on both sides
+_TINY = [Fraction(1, 10**67), Fraction(-3, 10**66), Fraction(1, 10**64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-6, 6).map(lambda i: Fraction(i, 2)),
+                  st.sampled_from([Fraction(0), *_TINY])),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(2, 45),
+    st.integers(-3, 3),
+)
+def test_trace_does_not_change_the_cut(vals, max_terms, start):
+    plain = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms)
+    traced = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms, trace=True)
+    assert plain.trace is None
+    for res in (plain, traced):
+        assert (res.value._mpf_, res.error_estimate._mpf_, res.truncation_index,
+                res.terminated_by) == (traced.value._mpf_, traced.error_estimate._mpf_,
+                                       traced.truncation_index, traced.terminated_by)
+    if traced.terminated_by == "minimal_term":
+        k, value, estimate = parent_rule_cut(traced.trace, mpf(10) ** -65)
+        assert (plain.truncation_index, plain.value._mpf_, plain.error_estimate._mpf_) == (
+            k, value._mpf_, estimate._mpf_)
