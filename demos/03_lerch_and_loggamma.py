@@ -39,7 +39,7 @@ for a in (0, 1):
     )
 
 print()
-print("and at a generic point, against the argument-raised Stirling reference:")
+print("and at a generic point, against Lerch's formula on the reference jet:")
 a = Fraction(1, 3)
 res = log_gamma_series(a, digits=DIGITS)
 ref = log_gamma_ref(1 + a, digits=DIGITS)

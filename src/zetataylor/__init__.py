@@ -31,15 +31,6 @@ from .exact import (
     stirling1,
     stirling2,
 )
-from .reference import (
-    OracleConfig,
-    OracleValue,
-    hurwitz_zeta,
-    lerch_phi,
-    log_gamma_ref,
-    taylor_coefficients,
-    taylor_coefficients_contour,
-)
 from .summation import (
     NonFiniteTermError,
     SemiConvergentResult,
@@ -50,6 +41,9 @@ from .summation import (
 )
 
 __version__ = "0.1.0"
+
+_REFERENCE = ("OracleConfig", "OracleValue", "hurwitz_zeta", "lerch_phi", "taylor_coefficients",
+              "taylor_coefficients_contour", "log_gamma_ref")
 
 __all__ = [
     "CoefficientQuery",
@@ -74,12 +68,14 @@ __all__ = [
     "SemiConvergentResult",
     "TraceRecord",
     "NonFiniteTermError",
-    "OracleConfig",
-    "OracleValue",
-    "hurwitz_zeta",
-    "lerch_phi",
-    "taylor_coefficients",
-    "taylor_coefficients_contour",
-    "log_gamma_ref",
+    *_REFERENCE,
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """The `reference` names, imported on first use (PEP 562)."""
+    if name in _REFERENCE:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

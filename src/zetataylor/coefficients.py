@@ -23,13 +23,21 @@ every series here, log-gamma included, has terms _weight(n, k) * q_k with
 q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family only
 picks P and the offset.  Every input is exact first: an int or a Fraction
 as it is, anything else rounded to working precision and taken as its
-dyadic value.  Each q_k is computed exactly in integers and rounded once,
-then shared by every n through a value table of at most 16 lists, keyed
-(x, lam, precision), least recently used out; a term is an integer times
-q_k, one more rounding.  The table and every entry point's precision are
-held under `exact.LOCK`.  The "-1" is an exact offset applied outside the
-summation engine, so traces show the series itself and error estimates
-describe only the series.
+dyadic value.  The "-1" is an exact offset applied outside the summation
+engine, so traces show the series itself and error estimates describe only
+the series.
+
+Each q_k is its exact value rounded once, shared by every n through a value
+table of at most 16 lists, keyed (x, lam, precision), least recently used
+out; a term is an integer times q_k, one more rounding.  The table and every
+entry point's precision are held under `exact.LOCK`.  A narrow input's q_k
+is summed exactly in integers (`exact.appell_ratio`).  A wide one (x's
+denominator and lam's p - q over 24 bits together, as for an mpf) grows its
+list in fixed point, W = prec + 320 bits: with the floors
+B_j = [2^W b_j / j!] and X_i = [2^W x^i / i!], S_m = sum_j B_j X_(m-j) is
+within E_m = sum_(j<=m) (|B_j| + |X_j| + 1) of 2^(2W) P_m(x) / m!.  Where
+S_m - E_m and S_m + E_m round alike, so does q_(m-1) (Ziv's test); only
+where they differ, an exact zero always, does the exact route run.
 """
 
 from __future__ import annotations
@@ -43,10 +51,11 @@ from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from .exact import (
     LOCK,
+    _numbers,
     appell_ratio,
     exp_polynomial_coeffs,
     kept,
@@ -90,11 +99,7 @@ def fraction_from_mpf(x) -> Fraction:
     x = to_mpf(x)
     if not mpmath.isfinite(x):
         raise ValueError("cannot convert non-finite value to Fraction")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    frac = Fraction(man) * Fraction(2) ** exp
-    return -frac if sign else frac
+    return Fraction(*to_rational(x._mpf_))
 
 
 def _check_real(name: str, x) -> None:
@@ -165,8 +170,10 @@ class CoefficientResult:
         return self.series.error_estimate
 
 
-# The value table of the module docstring; its lists grow only under LOCK.
+# The value table and the fixed-point path of the module docstring.
 _VALUE_LISTS = 16
+_WIDE = 24
+_GUARD = 320
 _values: OrderedDict = OrderedDict()
 
 
@@ -176,21 +183,43 @@ def _weight(n: int, k: int) -> int:
     return (-1) ** (k + 1) * stirling1(k, n)
 
 
+def _grow(values: list, rows: list | None, top: int, x: Fraction, lam, prec: int) -> None:
+    """Append q_k = P_m(x) / m!, m = k + 1, rounded once to prec, for every
+    k < top.  A wide list's rows are [W, B, X, sizes, numbers, d], with
+    sizes[m + 1] = E_m and the family's N_j and d.  Hold LOCK."""
+    for m in range(len(values) + 1, top + 1):
+        lo = hi = None
+        if rows is not None:
+            W, B, X, sizes, numbers, d = rows
+            if len(numbers) <= m:
+                rows[4] = numbers = _numbers(m, lam)[0]
+            for j in range(len(B), m + 1):
+                B.append((numbers[j] << W) // ((factorial(j + 1) if d is None else d**j) * factorial(j)))
+                X.append((x.numerator**j << W) // (x.denominator**j * factorial(j)))
+                sizes.append(sizes[-1] + abs(B[j]) + abs(X[j]) + 1)
+            S, E = sum(map(int.__mul__, B, X[m::-1])), sizes[m + 1]
+            lo, hi = (from_man_exp(S + e, -2 * W, prec, round_nearest) for e in (-E, E))
+        if lo is None or lo != hi:
+            num, den = appell_ratio(m, x, lam)
+            lo = from_rational(num, den * factorial(m), prec, round_nearest)
+        values.append(mp.make_mpf(lo))
+
+
 def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
     """Series terms _weight(n, k) * q_k for k = n, n+1, ..., with
     q_k = P_(k+1)(x) / (k+1)! rounded once, where P is the Bernoulli family
     (lam None) or the Apostol-Bernoulli family of lam."""
     prec = mp.prec
+    d = None if lam is None else lam.numerator - lam.denominator
+    wide = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE
     with LOCK:
-        values = kept(_values, (x, lam, prec), _VALUE_LISTS, list)
+        values, rows = kept(_values, (x, lam, prec), _VALUE_LISTS,
+                            lambda: ([], [prec + _GUARD, [], [], [0], [], d] if wide else None))
     k = n
     while True:
         if k >= len(values):
             with LOCK:
-                for m in range(len(values), k + 1):
-                    num, den = appell_ratio(m + 1, x, lam)
-                    values.append(mp.make_mpf(
-                        from_rational(num, den * factorial(m + 1), prec, round_nearest)))
+                _grow(values, rows, k + 1, x, lam, prec)
         yield _weight(n, k) * values[k]
         k += 1
 

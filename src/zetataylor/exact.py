@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "StirlingTable",
     "stirling1",
     "stirling2",
     "exp_polynomial_coeffs",
@@ -55,53 +54,28 @@ def kept(table: OrderedDict, key, bound: int, make):
     return table[key]
 
 
-class StirlingTable:
-    """Triangular table of Stirling numbers, grown on demand by recurrence.
+# Stirling rows, grown on demand: the unsigned first-kind numbers indexed
+# (k, n), s1(k+1, n) = k s1(k, n) + s1(k, n-1), and the second-kind numbers
+# indexed (n, k), s2(n+1, k) = k s2(n, k) + s2(n, k-1).  Entries above the
+# diagonal are 0 and are not stored.
+_stirling1_rows: list[list[int]] = [[1]]
+_stirling2_rows: list[list[int]] = [[1]]
 
-    kind="first" holds the unsigned first-kind numbers indexed (k, n):
-    the recurrence is value(k+1, n) = k*value(k, n) + value(k, n-1).
-    kind="second" holds second-kind numbers indexed (n, k):
-    value(n+1, k) = k*value(n, k) + value(n, k-1).
-    Entries above the diagonal are 0 and are not stored.
-    """
 
-    def __init__(self, kind: str):
-        if kind not in ("first", "second"):
-            raise ValueError(f"unknown Stirling kind: {kind!r}")
-        self.kind = kind
-        self._rows: list[list[int]] = [[1]]
-
-    def value(self, row: int, col: int) -> int:
-        if row < 0 or col < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if col > row:
-            return 0
-        if row >= len(self._rows):
-            self._grow(row)
-        return self._rows[row][col]
-
-    def _grow(self, row_max: int) -> None:
+def _stirling(rows: list[list[int]], r: int, c: int) -> int:
+    """Entry (r, c) of one of the two row lists, grown under LOCK."""
+    if r < 0 or c < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    if c > r:
+        return 0
+    if r >= len(rows):
         with LOCK:
-            while len(self._rows) <= row_max:
-                r = len(self._rows) - 1  # index of the last complete row
-                prev = self._rows[-1]
-                row = [0] * (r + 2)
-                for c in range(r + 2):
-                    above = prev[c] if c <= r else 0
-                    left = prev[c - 1] if 1 <= c <= r + 1 else 0
-                    if self.kind == "first":
-                        row[c] = r * above + left
-                    else:
-                        row[c] = c * above + left
-                self._rows.append(row)
-
-    def row(self, r: int) -> tuple[int, ...]:
-        self.value(r, 0)
-        return tuple(self._rows[r])
-
-
-_STIRLING1 = StirlingTable("first")
-_STIRLING2 = StirlingTable("second")
+            while len(rows) <= r:
+                k, prev = len(rows) - 1, rows[-1]
+                pairs = zip(prev + [0], [0] + prev)  # (above, left)
+                rows.append([k * above + left for above, left in pairs] if rows is _stirling1_rows
+                            else [j * above + left for j, (above, left) in enumerate(pairs)])
+    return rows[r][c]
 
 
 def stirling1(k: int, n: int) -> int:
@@ -111,19 +85,20 @@ def stirling1(k: int, n: int) -> int:
     coefficient magnitude in the inverse exponential-polynomial basis
     change.  Zero when n > k, or when k > 0 and n = 0.
     """
-    return _STIRLING1.value(k, n)
+    return _stirling(_stirling1_rows, k, n)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind for (n, k): partitions of an
     n-set into k blocks.  Zero when k > n."""
-    return _STIRLING2.value(n, k)
+    return _stirling(_stirling2_rows, n, k)
 
 
 def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
     """Coefficient list (ascending powers) of the n-th exponential (Bell)
     polynomial, whose coefficients are the second-kind Stirling numbers."""
-    return _STIRLING2.row(n)
+    _stirling(_stirling2_rows, n, 0)
+    return tuple(_stirling2_rows[n])
 
 
 # Bernoulli polynomials and the Apostol-Bernoulli values beta_m(x, lam),

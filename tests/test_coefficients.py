@@ -8,6 +8,7 @@ from math import factorial
 import mpmath
 import pytest
 from mpmath import mpf, workdps
+from mpmath.libmp import from_rational, round_nearest
 
 from zetataylor import coefficients, verification
 from zetataylor.coefficients import (
@@ -495,3 +496,79 @@ def test_value_table_keeps_bits_in_any_order():
         assert interleaved[run] == ascending[run], run
     assert len(coefficients._values) <= coefficients._VALUE_LISTS
 
+
+
+# The fixed-point path against the exact route: x and lam narrow and dyadic
+# (an mpf's exact value), x in {0, +-1/2, 1} for the exact zeros, x = 3 and
+# about 2.9 where sum |X_i| matters, lam = 9/10 and about 0.73 where sum |B_j|
+# does (with a guard of 0, an E_m without either sum gives wrong values).
+_FIXED_X = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-2, 7),
+            Fraction(3)] + [fraction_from_mpf(a) - 1 for a in (0.1, 3.9)]
+_FIXED_LAM = [None, Fraction(-1), Fraction(9, 10)] + [fraction_from_mpf(lam) for lam in (-0.41, 0.73)]
+_FIXED_TOP = 76  # m <= 76, that is q_0 .. q_75
+_FIXED_DIGITS = (15, 30, 50, 100)
+
+
+@pytest.fixture(scope="module")
+def exact_q():
+    """Per grid point, the exact (num, den) of P_m(x) / m! from
+    `appell_ratio`, m = 1 .. _FIXED_TOP, and their bits at each precision."""
+    out = {}
+    for x in _FIXED_X:
+        for lam in _FIXED_LAM:
+            ratios = []
+            for m in range(1, _FIXED_TOP + 1):
+                num, den = coefficients.appell_ratio(m, x, lam)
+                ratios.append((num, den * factorial(m)))
+            bits = {}
+            for digits in _FIXED_DIGITS:
+                with workdps(digits):
+                    prec = mpmath.mp.prec
+                bits[prec] = [from_rational(num, den, prec, round_nearest) for num, den in ratios]
+            out[x, lam] = ratios, bits
+    return out
+
+
+@pytest.mark.parametrize("guard", [320, 0])
+def test_fixed_point_values_match_the_exact_route(monkeypatch, exact_q, guard):
+    # every list takes the fixed-point path; with guard 0 the test settles
+    # few values, and each one it settles must still be exact
+    fallbacks = []
+
+    def counted(m, x, lam):
+        fallbacks.append((x, lam, m))
+        num, den = exact_q[x, lam][0][m - 1]
+        return num, den // factorial(m)
+
+    monkeypatch.setattr(coefficients, "_WIDE", -1)
+    monkeypatch.setattr(coefficients, "_GUARD", guard)
+    monkeypatch.setattr(coefficients, "appell_ratio", counted)
+    coefficients._values.clear()
+    total = 0
+    for digits in _FIXED_DIGITS:
+        with workdps(digits):
+            prec = mpmath.mp.prec
+            for x in _FIXED_X:
+                for lam in _FIXED_LAM:
+                    next(coefficients._terms(_FIXED_TOP - 1, x, lam))
+                    values, rows = coefficients._values[x, lam, prec]
+                    assert rows is not None and len(values) == _FIXED_TOP
+                    assert [v._mpf_ for v in values] == exact_q[x, lam][1][prec], (digits, x, lam)
+                    total += len(values)
+    coefficients._values.clear()
+    zeros = sum(num == 0 for ratios, _ in exact_q.values() for num, _ in ratios)
+    assert zeros > 0 and len(fallbacks) >= len(_FIXED_DIGITS) * zeros  # a zero always falls back
+    settled = total - len(fallbacks)
+    assert settled > (0.9 * total if guard else 0), (settled, total)
+
+
+def test_only_wide_inputs_take_the_fixed_point_path():
+    coefficients._values.clear()
+    with workdps(30):
+        prec = mpmath.mp.prec
+        for x, lam, wide in ((Fraction(2, 5), None, False), (Fraction(2, 5), Fraction(-5, 7), False),
+                             (fraction_from_mpf(0.8) - 1, None, True),
+                             (Fraction(2, 5), fraction_from_mpf(0.73), True)):
+            next(coefficients._terms(3, x, lam))
+            assert (coefficients._values[x, lam, prec][1] is not None) == wide, (x, lam)
+    coefficients._values.clear()

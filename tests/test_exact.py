@@ -16,7 +16,6 @@ from mpmath.libmp import from_rational, round_nearest
 from zetataylor import coefficients, exact
 from zetataylor.coefficients import fraction_from_mpf
 from zetataylor.exact import (
-    StirlingTable,
     apostol_bernoulli,
     apostol_bernoulli_coeffs,
     appell_row,
@@ -173,13 +172,8 @@ def test_exp_polynomial_coeffs():
 
 def test_stirling_table_entries_nonnegative():
     for k in range(40):
-        assert all(v >= 0 for v in StirlingTable("first").row(k))
-        assert all(v >= 0 for v in StirlingTable("second").row(k))
-
-
-def test_stirling_table_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        StirlingTable("third")
+        assert all(stirling1(k, n) >= 0 for n in range(k + 1))
+        assert all(stirling2(k, n) >= 0 for n in range(k + 1))
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +334,9 @@ def test_caches_are_consistent_under_threads():
     # thread asks the indices n in its own order, so lists grow from either end
     lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
     keys = [(x, lam) for x in (Fraction(-2, 7), Fraction(3, 5)) for lam in [None] + lams]
+    # wide keys (an mpf's dyadic x or lam) grow their lists in fixed point
+    wide_x, wide_lam = fraction_from_mpf(0.8) - 1, fraction_from_mpf(0.73)
+    keys += [(wide_x, None), (wide_x, Fraction(1, 3)), (Fraction(3, 5), wide_lam), (wide_x, wide_lam)]
     assert len(keys) > coefficients._VALUE_LISTS
     starts = (0, 1, 3, 6)  # n = 0 weighs only P_1; n = 1 weighs P_2 .. P_9
 
@@ -392,7 +389,7 @@ def test_caches_are_consistent_under_threads():
             want = tuple((-1) ** (k + 1) * stirling1(k, start) * q(x, lam, k, prec)
                          for k in range(start, start + 8))
         assert [t._mpf_ for t in got] == [t._mpf_ for t in want], (x, lam, start)
-    for (x, lam, key_prec), values in coefficients._values.items():  # every value the table kept
+    for (x, lam, key_prec), (values, _rows) in coefficients._values.items():  # every kept value
         assert [v._mpf_ for v in values] == [q(x, lam, k, key_prec)._mpf_
                                              for k in range(len(values))], (x, lam, key_prec)
     assert len(exact._apostol) <= exact._APPELL_LAMBDAS

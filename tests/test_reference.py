@@ -2,6 +2,7 @@
 summation, the power-series coefficient reference, contour coefficient
 extraction, and the log-gamma reference."""
 
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -377,10 +378,34 @@ def test_threads_at_different_precisions_get_serial_bits():
     assert mpmath.mp.dps == dps
     wrong = [key for got in results for key, bits in got if bits != want[key]]
     assert len(wrong) == 0 and all(len(got) == len(keys) for got in results), wrong
-    for (x, lam, prec), values in coefficients._values.items():  # every kept value list
+    for (x, lam, prec), (values, _rows) in coefficients._values.items():  # every kept list
         exact_q = [sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam))) / factorial(k + 1)
                    for k in range(len(values))]
         assert [v._mpf_ for v in values] == [from_rational(q.numerator, q.denominator, prec,
                                                            round_nearest) for q in exact_q]
     for (family, a, lam, digits), jet in reference._jets.items():  # every kept jet
         assert _bits(jet) == want[(family, a, lam), digits][1][: len(jet)]
+
+
+def test_bare_import_leaves_the_reference_unloaded():
+    # the package serves the reference names on first use (PEP 562)
+    code = (
+        "import sys, zetataylor\n"
+        "assert 'zetataylor.reference' not in sys.modules\n"
+        "assert all(getattr(zetataylor, name) is not None for name in zetataylor.__all__)\n"
+        "import zetataylor.reference as r\n"
+        "assert zetataylor.taylor_coefficients is r.taylor_coefficients\n"
+        "assert zetataylor.OracleConfig is r.OracleConfig\n"
+        "star = {}\n"
+        "exec('from zetataylor import *', star)\n"
+        "assert set(zetataylor.__all__) <= set(star)\n"
+        "assert star['log_gamma_ref'] is r.log_gamma_ref\n"
+        "try:\n"
+        "    zetataylor.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
