@@ -19,23 +19,26 @@ Hurwitz; at s = -m it stops after k = m and gives (1 - B_{m+1}(a))/(m+1)
 and -beta_{m+1}(a, lam)/(m+1), which `verification` checks exactly.
 
 Both polynomial families are Appell sequences (`exact.appell_row`), so
-every series here, log-gamma included, has terms _weight(n, k) * q_k with
-q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family only
-picks P and the offset.  Every input is exact first: an int or a Fraction
-as it is, anything else rounded to working precision and taken as its
-dyadic value.  The "-1" is an exact offset applied outside the summation
-engine, so traces show the series itself and error estimates describe only
-the series.
+every series here, log-gamma included, has terms (-1)^(k+1) s1(k, n) q_k
+with q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family
+only picks P and the offset.  Every input is exact first: an int or a
+Fraction as it is, anything else rounded to working precision and taken as
+its dyadic value.  The "-1" is an exact offset applied outside the
+summation engine, so traces show the series itself and error estimates
+describe only the series.
 
 Each q_k is its exact value rounded once, shared by every n through a value
 table of at most 16 lists, keyed (x, lam, precision), least recently used
-out; a term is an integer times q_k, one more rounding.  The table and every
-entry point's precision are held under `exact.LOCK`.  A narrow input's q_k
-is summed exactly in integers (`exact.appell_ratio`).  A wide one (x's
-denominator and lam's p - q over 24 bits together, as for an mpf) grows its
-list in fixed point, W = prec + 320 bits: with the floors
-B_j = [2^W b_j / j!] and X_i = [2^W x^i / i!], S_m = sum_j B_j X_(m-j) is
-within E_m = sum_(j<=m) (|B_j| + |X_j| + 1) of 2^(2W) P_m(x) / m!.  Where
+out; a term is the integer weight times q_k, one more rounding.  A list
+keeps its values as raw mpf tuples and its family's Appell integers and d,
+fetched again only when it outgrows them.  The tables and every entry
+point's precision are held under `exact.LOCK`.  A narrow input's q_k is
+summed exactly in integers.  A wide one (x's denominator and lam's p - q
+over 24 bits together, as for an mpf) grows its list in fixed point,
+W = prec + 320 bits: with the floors B_j = [2^W b_j / j!], one row per
+(lam, W) shared by every list (at most 8, least recently used out), and
+X_i = [2^W x^i / i!], one row per list, S_m = sum_j B_j X_(m-j) is within
+E_m = sum_(j<=m) (|B_j| + |X_j| + 1) of 2^(2W) P_m(x) / m!.  Where
 S_m - E_m and S_m + E_m round alike, so does q_(m-1) (Ziv's test); only
 where they differ, an exact zero always, does the exact route run.
 """
@@ -51,12 +54,14 @@ from typing import Iterator
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, round_nearest, to_rational
 
 from .exact import (
+    _APPELL_LAMBDAS,
     LOCK,
     _numbers,
-    appell_ratio,
+    _ratio,
+    _stirling1_rows,
     exp_polynomial_coeffs,
     kept,
     stirling1,
@@ -95,7 +100,7 @@ def fraction_from_mpf(x) -> Fraction:
     """x as an exact Fraction: an int or a Fraction as it is, anything else
     rounded to working precision by `to_mpf` (every mpf is dyadic)."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     x = to_mpf(x)
     if not mpmath.isfinite(x):
         raise ValueError("cannot convert non-finite value to Fraction")
@@ -104,8 +109,8 @@ def fraction_from_mpf(x) -> Fraction:
 
 def _check_real(name: str, x) -> None:
     """Raise ValueError unless x is a finite real number (bool excluded)."""
-    real = isinstance(x, numbers.Real) or hasattr(x, "_mpf_")
-    if isinstance(x, bool) or not real or not mpmath.isfinite(x):
+    if isinstance(x, bool) or not (isinstance(x, (int, Fraction)) or (  # exact, so finite
+            isinstance(x, numbers.Real) or hasattr(x, "_mpf_")) and mpmath.isfinite(x)):
         raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
 
@@ -170,57 +175,60 @@ class CoefficientResult:
         return self.series.error_estimate
 
 
-# The value table and the fixed-point path of the module docstring.
+# The value table, the fixed-point path and its B rows, of the module docstring.
 _VALUE_LISTS = 16
 _WIDE = 24
 _GUARD = 320
 _values: OrderedDict = OrderedDict()
+_b_rows: OrderedDict = OrderedDict()
 
 
-def _weight(n: int, k: int) -> int:
-    """(-1)^(k+1) s1(k, n), the weight of q_k in the n-th coefficient of
-    every family.  Kept out of `__all__`: it runs per term."""
-    return (-1) ** (k + 1) * stirling1(k, n)
-
-
-def _grow(values: list, rows: list | None, top: int, x: Fraction, lam, prec: int) -> None:
+def _grow(state: list, top: int, x: Fraction, lam, prec: int) -> None:
     """Append q_k = P_m(x) / m!, m = k + 1, rounded once to prec, for every
-    k < top.  A wide list's rows are [W, B, X, sizes, numbers, d], with
-    sizes[m + 1] = E_m and the family's N_j and d.  Hold LOCK."""
+    k < top, and grow the Stirling rows through top.  state is [values,
+    numbers, d, fixed], fixed = [W, X, xs, (B, bs)] for a wide list, where
+    xs[i + 1] and bs[i + 1] sum |X_j| and |B_j| over j <= i.  Hold LOCK."""
+    values, numbers, d, fixed = state
+    if len(numbers) <= top:
+        state[1] = numbers = _numbers(top, lam)[0]
+    stirling1(top, 0)
+    u, v = x.numerator, x.denominator
     for m in range(len(values) + 1, top + 1):
         lo = hi = None
-        if rows is not None:
-            W, B, X, sizes, numbers, d = rows
-            if len(numbers) <= m:
-                rows[4] = numbers = _numbers(m, lam)[0]
+        if fixed is not None:
+            W, X, xs, (B, bs) = fixed
             for j in range(len(B), m + 1):
                 B.append((numbers[j] << W) // ((factorial(j + 1) if d is None else d**j) * factorial(j)))
-                X.append((x.numerator**j << W) // (x.denominator**j * factorial(j)))
-                sizes.append(sizes[-1] + abs(B[j]) + abs(X[j]) + 1)
-            S, E = sum(map(int.__mul__, B, X[m::-1])), sizes[m + 1]
+                bs.append(bs[-1] + abs(B[j]))
+            X.append((u**m << W) // (v**m * factorial(m)))
+            xs.append(xs[-1] + abs(X[m]))
+            S, E = sum(map(int.__mul__, B, X[m::-1])), bs[m + 1] + xs[m + 1] + m + 1
             lo, hi = (from_man_exp(S + e, -2 * W, prec, round_nearest) for e in (-E, E))
         if lo is None or lo != hi:
-            num, den = appell_ratio(m, x, lam)
+            num, den = _ratio(m, u, v, numbers, d)
             lo = from_rational(num, den * factorial(m), prec, round_nearest)
-        values.append(mp.make_mpf(lo))
+        values.append(lo)
 
 
 def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
-    """Series terms _weight(n, k) * q_k for k = n, n+1, ..., with
+    """Series terms (-1)^(k+1) s1(k, n) q_k for k = n, n+1, ..., with
     q_k = P_(k+1)(x) / (k+1)! rounded once, where P is the Bernoulli family
     (lam None) or the Apostol-Bernoulli family of lam."""
-    prec = mp.prec
+    prec, rnd = mp._prec_rounding
     d = None if lam is None else lam.numerator - lam.denominator
-    wide = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE
-    with LOCK:
-        values, rows = kept(_values, (x, lam, prec), _VALUE_LISTS,
-                            lambda: ([], [prec + _GUARD, [], [], [0], [], d] if wide else None))
-    k = n
+    wide, W = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE, prec + _GUARD
+    key = x.as_integer_ratio(), None if lam is None else lam.as_integer_ratio(), prec  # ints hash fast
+    with LOCK:  # a wide list starts X at X_0 = 2^W and shares the B row of (lam, W)
+        state = kept(_values, key, _VALUE_LISTS, lambda: [[], [], d, [
+            W, [1 << W], [0, 1 << W], kept(_b_rows, (lam, W), _APPELL_LAMBDAS, lambda: [[], [0]])
+        ] if wide else None])
+    values, k = state[0], n
     while True:
         if k >= len(values):
             with LOCK:
-                _grow(values, rows, k + 1, x, lam, prec)
-        yield _weight(n, k) * values[k]
+                _grow(state, k + 1, x, lam, prec)
+        s1 = _stirling1_rows[k][n]
+        yield mp.make_mpf(mpf_mul_int(values[k], s1 if k % 2 else -s1, prec, rnd))
         k += 1
 
 
@@ -228,10 +236,8 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     """Evaluate one CoefficientQuery."""
     with working_precision(query.digits):
         n = query.n
-        if query.family == "lerch":
-            lam, offset = fraction_from_mpf(query.lam), mpf(0)
-        else:
-            lam, offset = None, mpf(-1)
+        lam = fraction_from_mpf(query.lam) if query.family == "lerch" else None
+        offset = mpf(-1 if lam is None else 0)
         series = sum_semiconvergent(
             _terms(n, fraction_from_mpf(query.a) - 1, lam),
             start=n, max_terms=query.max_terms, trace=query.trace,

@@ -48,10 +48,11 @@ LOCK = threading.RLock()
 def kept(table: OrderedDict, key, bound: int, make):
     """table[key], made by make() if absent, as the most recently used
     entry; the oldest entries beyond `bound` go.  Call it holding LOCK."""
-    table[key] = table.pop(key) if key in table else make()
+    value = table.pop(key, None)
+    table[key] = value = make() if value is None else value
     if len(table) > bound:
         table.popitem(last=False)
-    return table[key]
+    return value
 
 
 # Stirling rows, grown on demand: the unsigned first-kind numbers indexed
@@ -173,13 +174,16 @@ def appell_ratio(m: int, x: RationalLike, lam: RationalLike | None = None) -> tu
     """P_m(x) of the family of `appell_row` at rational x = u/v as an
     unreduced integer pair (num, D_m v^m), without a division: num is the
     homogeneous Horner sum of C(m, j) N_j (D_m/D_j) u^(m-j) v^j."""
-    numbers, d = _numbers(m, lam)
-    x = Fraction(x)
-    u, v = x.numerator, x.denominator
-    acc = 0
+    return _ratio(m, *Fraction(x).as_integer_ratio(), *_numbers(m, lam))
+
+
+def _ratio(m: int, u: int, v: int, numbers: list[int], d: int | None) -> tuple[int, int]:
+    """`appell_ratio` at x = u/v from the family's N_j and d."""
+    acc, vj = 0, 1
     for j in range(m + 1):  # D_j / D_(j-1) is j + 1 for Bernoulli, d for Apostol
-        acc = acc * u * (j + 1 if d is None else d) + comb(m, j) * numbers[j] * v**j
-    return acc, (factorial(m + 1) if d is None else d**m) * v**m
+        acc = acc * u * (j + 1 if d is None else d) + comb(m, j) * numbers[j] * vj
+        vj *= v
+    return acc, (factorial(m + 1) if d is None else d**m) * vj // v
 
 
 def appell_value(m: int, x: RationalLike, lam: RationalLike | None = None) -> Fraction:

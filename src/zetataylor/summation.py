@@ -32,8 +32,8 @@ requiring adjacency would defeat detection exactly there.  The cut is
 tracked as the terms arrive: the first term at or above the threshold
 after the current minimum fixes it, and a new minimum clears it.  A tie is
 not a new minimum, so ties truncate at the earlier index, which keeps the
-error estimate conservative.  Per-term records exist only when a trace is
-asked for.
+error estimate conservative.  The loop runs on raw mpf tuples under these
+rules, with mpf objects only for the result and a trace's per-term records.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from typing import Iterable, Literal, Sequence
 
 import mpmath
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import from_rational, fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import (from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul,
+                          mpf_pow_int, round_nearest)
 
 from .exact import LOCK
 
@@ -82,8 +83,6 @@ def to_mpf(x) -> mpf:
     ties to even)."""
     if isinstance(x, Fraction):
         return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
-    if isinstance(x, int):
-        return mpmath.mpf(x)
     return +mpmath.mpmathify(x)
 
 
@@ -155,9 +154,10 @@ def sum_semiconvergent(
     `max_terms` times and must be fresh (not shared between calls).
     """
     _check_int("max_terms", max_terms, 2)
-    threshold = mpf(10) ** (-(mp.dps + 5))
+    prec, rnd = mp._prec_rounding
+    threshold = mpf_pow_int(from_int(10), -(mp.dps + 5), prec, rnd)
     records: list[TraceRecord] | None = [] if trace else None
-    partial = mpf(0)
+    partial = fzero
     min_mag = prev_mag = None
     cut = None  # (k - 1, partial sum before term k, |term k|)
     seen_descent = False
@@ -168,14 +168,14 @@ def sum_semiconvergent(
     for raw in terms:
         k += 1
         # a term already at working precision needs no rounding
-        term = raw if isinstance(raw, mpf) and raw._mpf_[3] <= mp.prec else to_mpf(raw)
-        if not mpmath.isfinite(term):
+        term = raw._mpf_ if isinstance(raw, mpf) and raw._mpf_[3] <= prec else to_mpf(raw)._mpf_
+        if not term[1] and term != fzero:  # NaN and the infinities have mantissa 0
             raise NonFiniteTermError(k)
-        before, partial = partial, partial + term
+        before, partial = partial, mpf_add(partial, term, prec, rnd)
         if records is not None:
-            records.append(TraceRecord(k, term, partial))
-        mag = abs(term)
-        if mag < threshold:
+            records.append(TraceRecord(k, mp.make_mpf(term), mp.make_mpf(partial)))
+        mag = mpf_abs(term)
+        if mpf_lt(mag, threshold):
             consecutive_small += 1
             if consecutive_small >= 2:
                 reason = "converged"
@@ -183,11 +183,11 @@ def sum_semiconvergent(
         else:
             consecutive_small = 0
             if prev_mag is not None:
-                if mag < prev_mag:
+                if mpf_lt(mag, prev_mag):
                     seen_descent = True
                 elif seen_descent:
                     growth_sightings += 1
-            if min_mag is None or mag < min_mag:
+            if min_mag is None or mpf_lt(mag, min_mag):
                 min_mag, cut = mag, None
             elif cut is None:
                 cut = (k - 1, before, mag)
@@ -204,7 +204,7 @@ def sum_semiconvergent(
     if reason == "minimal_term":
         index, value, estimate = cut
     elif reason == "converged":
-        index, value, estimate = k, partial, +threshold
+        index, value, estimate = k, partial, threshold
     else:  # prev_mag is the magnitude of the last term at or above threshold
-        index, value, estimate = k, partial, abs(term) if prev_mag is None else prev_mag
-    return SemiConvergentResult(value, estimate, index, reason, kept)
+        index, value, estimate = k, partial, mag if prev_mag is None else prev_mag
+    return SemiConvergentResult(mp.make_mpf(value), mp.make_mpf(estimate), index, reason, kept)

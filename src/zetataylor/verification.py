@@ -221,8 +221,8 @@ def check_newton_identity(digits):
     # and must give the series part of zeta(-m, a) = -B_{m+1}(a)/(m+1), or
     # Apostol's Phi(lam, -m, a) = -beta_{m+1}(a, lam)/(m+1); checked exactly.
     top = 7
-    inner = [[Fraction(sum(coeffs._weight(n, k) * (-m) ** n for n in range(k + 1)), factorial(k + 1))
-              for k in range(m + 2)] for m in range(top + 1)]
+    inner = [[Fraction(sum((-1) ** (k + 1) * exact.stirling1(k, n) * (-m) ** n for n in range(k + 1)),
+                        factorial(k + 1)) for k in range(m + 2)] for m in range(top + 1)]
     points, misses = 0, []
     for lam in (None, Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(2, 7)):
         for a in (Fraction(1, 2), Fraction(1), Fraction(5, 3)):

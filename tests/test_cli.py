@@ -184,6 +184,14 @@ def test_nonpositive_shift_rejected(capsys):
     assert code == 2
 
 
+def test_shift_exit_codes_keep_usage_and_domain_apart(capsys):
+    code, _, _ = run_cli(capsys, "coeff", "--family=hurwitz", "--n=0", "--a=nan")
+    assert code == 64  # not a decimal or p/q rational: bad usage
+    code, _, err = run_cli(capsys, "coeff", "--family=hurwitz", "--n=0", "--a=-1")
+    assert code == 2  # a rational outside the domain
+    assert "positive" in err
+
+
 def test_negative_rational_values_parse(capsys):
     code, spaced, _ = run_cli(
         capsys, "coeff", "--family", "lerch", "--a", "3/2", "--lambda", "-2/7", "--n", "1"

@@ -22,7 +22,8 @@ from zetataylor.coefficients import (
     riemann_coefficient,
     system_residual,
 )
-from zetataylor.exact import apostol_bernoulli, exp_polynomial_coeffs, harmonic_number, stirling1
+from zetataylor.exact import (apostol_bernoulli, appell_ratio, exp_polynomial_coeffs, harmonic_number,
+                              stirling1)
 from zetataylor.reference import (
     hurwitz_zeta,
     lerch_phi,
@@ -122,6 +123,17 @@ def test_query_accepts_float_and_mpf_constants():
     CoefficientQuery("hurwitz", 1, a=0.5)
     CoefficientQuery("hurwitz", 1, a=mpmath.e)
     CoefficientQuery("lerch", 1, a=1, lam=-0.5)
+
+
+@pytest.mark.parametrize("bad", [True, mpf("nan"), mpf("inf"), float("inf"), 1j, "1/2"], ids=repr)
+def test_inputs_past_the_exact_fast_path_are_still_checked(bad):
+    # an int or a Fraction skips mpmath's finiteness test; a bool, a
+    # non-finite or non-real number and a string still raise, as a or lam
+    calls = [lambda: hurwitz_coefficient(0, bad), lambda: lerch_coefficient(0, bad, Fraction(-1, 2)),
+             lambda: log_gamma_series(bad), lambda: lerch_coefficient(0, Fraction(3, 2), bad)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 BOUNDARY_CALLS = {
@@ -227,7 +239,7 @@ def test_golden_term_paths(path, n, a, lam, value, estimate, index, reason):
         for k in range(n, index + 1):
             folded = Fraction((-1) ** (k + 1), k * (k + 1))
             folded *= harmonic_number(k - 1) if n == 2 else 1
-            assert Fraction(coefficients._weight(n, k), factorial(k + 1)) == folded, k
+            assert Fraction((-1) ** (k + 1) * stirling1(k, n), factorial(k + 1)) == folded, k
 
 
 # ---------------------------- special paths ----------------------------
@@ -316,10 +328,8 @@ def test_lerch_half_lambda_series_diverges_immediately():
 def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
     # PAPER.md's Lerch weight (-1)^(k-n+1) s1(k, n) / (k+1)! agrees with
     # the true one only where n is even, so only the m = 0 points hold
-    def paper_weight(n, k):
-        return (-1) ** (k - n + 1) * stirling1(k, n)
-
-    monkeypatch.setattr(coefficients, "_weight", paper_weight)
+    # the check's weight (-1)^(k+1) s1(k, n) becomes the paper's when s1 carries (-1)^n
+    monkeypatch.setattr(verification.exact, "stirling1", lambda k, n: (-1) ** n * stirling1(k, n))
     ok, detail = verification.check_newton_identity(30)
     assert not ok
     assert detail.startswith("105 of 120 points miss")
@@ -509,6 +519,11 @@ _FIXED_TOP = 76  # m <= 76, that is q_0 .. q_75
 _FIXED_DIGITS = (15, 30, 50, 100)
 
 
+def _key(x, lam, prec):
+    """The value table's key of (x, lam, prec): integer pairs hash fast."""
+    return x.as_integer_ratio(), None if lam is None else lam.as_integer_ratio(), prec
+
+
 @pytest.fixture(scope="module")
 def exact_q():
     """Per grid point, the exact (num, den) of P_m(x) / m! from
@@ -518,7 +533,7 @@ def exact_q():
         for lam in _FIXED_LAM:
             ratios = []
             for m in range(1, _FIXED_TOP + 1):
-                num, den = coefficients.appell_ratio(m, x, lam)
+                num, den = appell_ratio(m, x, lam)
                 ratios.append((num, den * factorial(m)))
             bits = {}
             for digits in _FIXED_DIGITS:
@@ -533,16 +548,18 @@ def exact_q():
 def test_fixed_point_values_match_the_exact_route(monkeypatch, exact_q, guard):
     # every list takes the fixed-point path; with guard 0 the test settles
     # few values, and each one it settles must still be exact
-    fallbacks = []
+    fallbacks, fallback_key = [], None
 
-    def counted(m, x, lam):
+    def counted(m, u, v, numbers, d):  # the exact route: once per value the interval leaves open
+        x, lam = fallback_key
         fallbacks.append((x, lam, m))
+        assert Fraction(u, v) == x and d == (None if lam is None else lam.numerator - lam.denominator)
         num, den = exact_q[x, lam][0][m - 1]
         return num, den // factorial(m)
 
     monkeypatch.setattr(coefficients, "_WIDE", -1)
     monkeypatch.setattr(coefficients, "_GUARD", guard)
-    monkeypatch.setattr(coefficients, "appell_ratio", counted)
+    monkeypatch.setattr(coefficients, "_ratio", counted)
     coefficients._values.clear()
     total = 0
     for digits in _FIXED_DIGITS:
@@ -550,10 +567,11 @@ def test_fixed_point_values_match_the_exact_route(monkeypatch, exact_q, guard):
             prec = mpmath.mp.prec
             for x in _FIXED_X:
                 for lam in _FIXED_LAM:
+                    fallback_key = x, lam
                     next(coefficients._terms(_FIXED_TOP - 1, x, lam))
-                    values, rows = coefficients._values[x, lam, prec]
-                    assert rows is not None and len(values) == _FIXED_TOP
-                    assert [v._mpf_ for v in values] == exact_q[x, lam][1][prec], (digits, x, lam)
+                    values, _numbers, _d, fixed = coefficients._values[_key(x, lam, prec)]
+                    assert fixed is not None and len(values) == _FIXED_TOP
+                    assert values == exact_q[x, lam][1][prec], (digits, x, lam)
                     total += len(values)
     coefficients._values.clear()
     zeros = sum(num == 0 for ratios, _ in exact_q.values() for num, _ in ratios)
@@ -570,5 +588,37 @@ def test_only_wide_inputs_take_the_fixed_point_path():
                              (fraction_from_mpf(0.8) - 1, None, True),
                              (Fraction(2, 5), fraction_from_mpf(0.73), True)):
             next(coefficients._terms(3, x, lam))
-            assert (coefficients._values[x, lam, prec][1] is not None) == wide, (x, lam)
+            assert (coefficients._values[_key(x, lam, prec)][3] is not None) == wide, (x, lam)
     coefficients._values.clear()
+
+
+# --------------------------- in-process pin ----------------------------
+
+# One sha256 over (value, error_estimate, truncation_index, terminated_by)
+# of every call of a grid that mirrors the benchmark's series_mix strata:
+# the three families, a p/q and an mpf shift, lambda in {-1, a negative and
+# a positive p/q, a negative and a positive mpf}, 30, 50 and 100 digits and
+# n <= 6.  CLI_PIN covers no mpf lambda and no 100-digit call.
+# derive_value_pin.py re-derives it against an older tree.
+PIN_SHIFTS = (Fraction(5, 7), mpf(2.3))
+PIN_LAMBDAS = (Fraction(-1), Fraction(-2, 7), Fraction(3, 4), mpf(-0.41), mpf(0.73))
+PIN_CALLS = [("riemann", 1, None)] + [("hurwitz", a, None) for a in PIN_SHIFTS] + [
+    ("lerch", a, lam) for a in PIN_SHIFTS for lam in PIN_LAMBDAS]
+VALUE_PIN = "4ee54fd16232c3e34c2f6fcd558d23ab53fdb35126d6c32e5373cf5446ae3ec6"
+
+
+def pin_rows() -> list:
+    """The grid's rows, each mpf as a tuple of ints."""
+    rows = []
+    for family, a, lam in PIN_CALLS:
+        for digits in (30, 50, 100):
+            for n in range(7):
+                res = compute_coefficient(CoefficientQuery(family, n, a, lam, digits))
+                s = res.series
+                rows.append((tuple(map(int, res.value._mpf_)), tuple(map(int, s.error_estimate._mpf_)),
+                             s.truncation_index, s.terminated_by))
+    return rows
+
+
+def test_in_process_bits_match_the_pin():
+    assert hashlib.sha256(repr(pin_rows()).encode()).hexdigest() == VALUE_PIN

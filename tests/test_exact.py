@@ -335,9 +335,11 @@ def test_caches_are_consistent_under_threads():
     lams = [Fraction(1, p) for p in range(3, 5 + 2 * exact._APPELL_LAMBDAS)]
     keys = [(x, lam) for x in (Fraction(-2, 7), Fraction(3, 5)) for lam in [None] + lams]
     # wide keys (an mpf's dyadic x or lam) grow their lists in fixed point
+    # and share one B row per lam, more lams than the B rows keep, so rows
+    # are evicted and rebuilt while other threads' lists still grow them
     wide_x, wide_lam = fraction_from_mpf(0.8) - 1, fraction_from_mpf(0.73)
-    keys += [(wide_x, None), (wide_x, Fraction(1, 3)), (Fraction(3, 5), wide_lam), (wide_x, wide_lam)]
-    assert len(keys) > coefficients._VALUE_LISTS
+    keys += [(wide_x, lam) for lam in [None, wide_lam] + lams] + [(Fraction(3, 5), wide_lam)]
+    assert len(keys) > coefficients._VALUE_LISTS and len(lams) > exact._APPELL_LAMBDAS
     starts = (0, 1, 3, 6)  # n = 0 weighs only P_1; n = 1 weighs P_2 .. P_9
 
     def q(x, lam, k, prec):  # P_(k+1)(x) / (k+1)!, rounded once at prec
@@ -389,9 +391,15 @@ def test_caches_are_consistent_under_threads():
             want = tuple((-1) ** (k + 1) * stirling1(k, start) * q(x, lam, k, prec)
                          for k in range(start, start + 8))
         assert [t._mpf_ for t in got] == [t._mpf_ for t in want], (x, lam, start)
-    for (x, lam, key_prec), (values, _rows) in coefficients._values.items():  # every kept value
-        assert [v._mpf_ for v in values] == [q(x, lam, k, key_prec)._mpf_
-                                             for k in range(len(values))], (x, lam, key_prec)
+    for ((u, v), lam_pq, key_prec), (values, *_) in coefficients._values.items():  # every kept value
+        x, lam = Fraction(u, v), lam_pq and Fraction(*lam_pq)
+        assert values == [q(x, lam, k, key_prec)._mpf_ for k in range(len(values))], (x, lam, key_prec)
+    assert coefficients._b_rows
+    for (lam, W), (B, sums) in coefficients._b_rows.items():  # every kept B row
+        b = [appell_row(j, lam)[0] for j in range(len(B))]  # b_j = P_j(0)
+        assert B == [(c.numerator << W) // (c.denominator * factorial(j)) for j, c in enumerate(b)]
+        assert sums == [sum(map(abs, B[:j])) for j in range(len(B) + 1)]
+    assert len(coefficients._b_rows) <= exact._APPELL_LAMBDAS
     assert len(exact._apostol) <= exact._APPELL_LAMBDAS
     assert len(exact._bernoulli) > 120  # the Bernoulli numbers are never evicted
     assert len(coefficients._values) <= coefficients._VALUE_LISTS

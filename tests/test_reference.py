@@ -378,11 +378,12 @@ def test_threads_at_different_precisions_get_serial_bits():
     assert mpmath.mp.dps == dps
     wrong = [key for got in results for key, bits in got if bits != want[key]]
     assert len(wrong) == 0 and all(len(got) == len(keys) for got in results), wrong
-    for (x, lam, prec), (values, _rows) in coefficients._values.items():  # every kept list
+    for ((u, v), lam_pq, prec), (values, *_) in coefficients._values.items():  # every kept list
+        x, lam = Fraction(u, v), lam_pq and Fraction(*lam_pq)
         exact_q = [sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam))) / factorial(k + 1)
                    for k in range(len(values))]
-        assert [v._mpf_ for v in values] == [from_rational(q.numerator, q.denominator, prec,
-                                                           round_nearest) for q in exact_q]
+        assert values == [from_rational(q.numerator, q.denominator, prec, round_nearest)
+                          for q in exact_q]
     for (family, a, lam, digits), jet in reference._jets.items():  # every kept jet
         assert _bits(jet) == want[(family, a, lam), digits][1][: len(jet)]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from zetataylor.exact import bernoulli_polynomial, stirling1
 from zetataylor.summation import (
@@ -311,3 +312,102 @@ def test_trace_does_not_change_the_cut(vals, max_terms, start):
         k, value, estimate = parent_rule_cut(traced.trace, mpf(10) ** -65)
         assert (plain.truncation_index, plain.value._mpf_, plain.error_estimate._mpf_) == (
             k, value._mpf_, estimate._mpf_)
+
+
+def _mpf_object_engine(terms, start, max_terms):
+    """The engine's loop as it ran on mpf objects (`+`, `abs`, `<`,
+    `mpmath.isfinite`) with its own conversion: the oracle of the raw-tuple
+    loop's bits."""
+    def conv(x):
+        if isinstance(x, mpf) and x._mpf_[3] <= mpmath.mp.prec:
+            return x
+        if isinstance(x, Fraction):
+            return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec,
+                                                    round_nearest))
+        return mpmath.mpf(x) if isinstance(x, int) else +mpmath.mpmathify(x)
+
+    threshold = mpf(10) ** (-(mpmath.mp.dps + 5))
+    partial, min_mag, prev_mag, cut = mpf(0), None, None, None
+    seen_descent, growth_sightings, consecutive_small, reason = False, 0, 0, "max_terms"
+    k = start - 1
+    for raw in terms:
+        k += 1
+        term = conv(raw)
+        if not mpmath.isfinite(term):
+            raise NonFiniteTermError(k)
+        before, partial = partial, partial + term
+        mag = abs(term)
+        if mag < threshold:
+            consecutive_small += 1
+            if consecutive_small >= 2:
+                reason = "converged"
+                break
+        else:
+            consecutive_small = 0
+            if prev_mag is not None:
+                if mag < prev_mag:
+                    seen_descent = True
+                elif seen_descent:
+                    growth_sightings += 1
+            if min_mag is None or mag < min_mag:
+                min_mag, cut = mag, None
+            elif cut is None:
+                cut = (k - 1, before, mag)
+            prev_mag = mag
+            if growth_sightings >= 2:
+                reason = "minimal_term"
+                break
+        if k - start + 1 >= max_terms:
+            break
+    if reason == "minimal_term":
+        index, value, estimate = cut
+    elif reason == "converged":
+        index, value, estimate = k, partial, +threshold
+    else:
+        index, value, estimate = k, partial, abs(term) if prev_mag is None else prev_mag
+    return value._mpf_, estimate._mpf_, index, reason
+
+
+def _engine_term(kind: str, i: int, dps: int):
+    """One term of a kind the engine must treat alike on either route."""
+    if kind == "half":  # small halves: exact zeros and ties of magnitude
+        return Fraction(i, 2)
+    if kind == "int":
+        return i * 3**40
+    if kind == "tiny":  # on either side of the threshold 10^-(dps+5), and on it
+        return (Fraction(i, 10 ** (dps + 7)), Fraction(i, 10 ** (dps + 4)),
+                mpf(10) ** -(dps + 5))[abs(i) % 3]
+    if kind == "wide":  # an mpf wider than the working precision
+        with mpmath.workprec(mpmath.mp.prec + 40):
+            return mpf(i) / 3
+    if kind == "float":
+        return i / 7
+    return (mpf("nan"), mpf("inf"), mpf("-inf"), float("nan"), float("-inf"))[abs(i) % 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([15, 30, 60]),
+    st.lists(st.tuples(st.sampled_from(["half", "half", "int", "tiny", "wide", "float"]),
+                       st.integers(-6, 6)), min_size=1, max_size=30),
+    st.integers(0, 60),  # where a NaN or an infinity goes, if within the list
+    st.integers(2, 35),
+    st.integers(-3, 3),
+)
+def test_raw_tuple_engine_matches_the_mpf_object_loop(dps, kinds, bad_at, max_terms, start):
+    with mpmath.workdps(dps):
+        vals = [_engine_term(kind, i, dps) for kind, i in kinds]
+        if bad_at < len(vals):
+            vals[bad_at] = _engine_term("bad", bad_at, dps)
+        outcomes = []
+        for route in (_mpf_object_engine, None):
+            try:
+                if route is None:
+                    res = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms)
+                    outcomes.append((res.value._mpf_, res.error_estimate._mpf_,
+                                     res.truncation_index, res.terminated_by))
+                else:
+                    outcomes.append(route(iter(vals), start, max_terms))
+            except NonFiniteTermError as exc:
+                outcomes.append(("non-finite", exc.index))
+    assert outcomes[0] == outcomes[1]
