@@ -31,7 +31,6 @@ from .coefficients import (
 )
 from .reference import taylor_coefficients
 from .summation import working_precision
-from .verification import available_suites, run_suite
 
 __all__ = ["main"]
 
@@ -79,6 +78,18 @@ def _n_range(text: str) -> list[int]:
         )
 
 
+class _Suites:
+    """The choices of --suite (`in` iterates them), read from the registry
+    of `verification` only when --suite is parsed or shown."""
+
+    def __iter__(self):
+        from .verification import available_suites
+        return iter(available_suites())
+
+    def __str__(self) -> str:  # the metavar argparse would make from the choices
+        return "{%s}" % ",".join(self)
+
+
 def _fmt_number(x, digits: int) -> str:
     return mpmath.nstr(x, digits, strip_zeros=True)
 
@@ -109,7 +120,8 @@ def _build_parser() -> _Parser:
     trace.add_argument("--out", required=True, help="output CSV path")
 
     verify = sub.add_parser("verify", help="run self-check suites")
-    verify.add_argument("--suite", choices=list(available_suites()), default="all")
+    suite = verify.add_argument("--suite", choices=_Suites(), metavar="SUITE", default="all")
+    suite.metavar = suite.choices  # after add_argument, which formats the metavar once
     verify.add_argument("--digits", type=int)
     return parser
 
@@ -196,6 +208,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_suite
+
     ok = run_suite(args.suite, args.digits, sys.stdout)
     print("verify: all checks passed" if ok else "verify: FAILURES above")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

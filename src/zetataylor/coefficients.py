@@ -23,38 +23,39 @@ every series here, log-gamma included, has terms (-1)^(k+1) s1(k, n) q_k
 with q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family
 only picks P and the offset.  Every input is exact first: an int or a
 Fraction as it is, anything else rounded to working precision and taken as
-its dyadic value.  The "-1" is an exact offset applied outside the
-summation engine, so traces show the series itself and error estimates
-describe only the series.
+its dyadic value.  The "-1" is an exact offset added to the exact sum of
+the series, rounded with it once; traces show the series itself and error
+estimates describe only the series.
 
-Each q_k is its exact value rounded once, shared by every n through a value
-table of at most 16 lists, keyed (x, lam, precision), least recently used
-out; a term is the integer weight times q_k, one more rounding.  A list
-keeps its values as raw mpf tuples and its family's Appell integers and d,
-fetched again only when it outgrows them.  The tables and every entry
-point's precision are held under `exact.LOCK`.  A narrow input's q_k is
-summed exactly in integers.  A wide one (x's denominator and lam's p - q
-over 24 bits together, as for an mpf) grows its list in fixed point,
-W = prec + 320 bits: with the floors B_j = [2^W b_j / j!], one row per
-(lam, W) shared by every list (at most 8, least recently used out), and
-X_i = [2^W x^i / i!], one row per list, S_m = sum_j B_j X_(m-j) is within
-E_m = sum_(j<=m) (|B_j| + |X_j| + 1) of 2^(2W) P_m(x) / m!.  Where
-S_m - E_m and S_m + E_m round alike, so does q_(m-1) (Ziv's test); only
-where they differ, an exact zero always, does the exact route run.
+Each q_k is kept as its floor at prec + 64 bits, (man, exp) with
+man = [q_k 2^-exp] and 2^(prec+63) <= |man| <= 2^(prec+64), shared by every
+n through a value table of at most 16 lists, keyed (x, lam, precision),
+least recently used out; a term is the integer weight times that floor,
+exactly, so a value is within the bound `summation` states.  A list keeps
+its family's Appell integers and d, fetched again only when it outgrows
+them.  The tables and every entry point's precision are held under
+`exact.LOCK`.  A narrow input's floor is one integer division of its exact
+ratio.  A wide one (x's denominator and lam's p - q over 24 bits together,
+as for an mpf) grows its list in fixed point, W = prec + 64 + 320 bits:
+with the floors B_j = [2^W b_j / j!], one row per (lam, W) shared by every
+list (at most 8, least recently used out), and X_i = [2^W x^i / i!], one
+row per list, S_m = sum_j B_j X_(m-j) is within E_m = sum_(j<=m) (|B_j| +
+|X_j| + 1) of 2^(2W) P_m(x) / m!.  Where S_m - E_m and S_m + E_m have the
+same floor, so has q_(m-1) (Ziv's test); only where they differ, an exact
+zero always, does the exact route run, and both routes give one floor.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_mul_int, round_nearest, to_rational
+from mpmath.libmp import fnone, fzero, mpf_mul_int, to_rational
 
 from .exact import (
     _APPELL_LAMBDAS,
@@ -70,6 +71,7 @@ from .exact import (
 from .summation import (
     SemiConvergentResult,
     _check_int,
+    _rounded,
     eval_polynomial,
     sum_semiconvergent,
     to_mpf,
@@ -114,21 +116,17 @@ def _check_real(name: str, x) -> None:
         raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
 
-@dataclass(frozen=True)
-class CoefficientQuery:
+class CoefficientQuery(namedtuple("CoefficientQuery", "family n a lam digits max_terms trace",
+                                  defaults=(1, None, DEFAULT_DIGITS, DEFAULT_MAX_TERMS, False))):
     """One coefficient request: which family, which Taylor index n, the
     shift a > 0, lam (Lerch only, |lam| <= 1, lam != 1), the working
     precision in decimal digits, and the summation budget."""
 
-    family: str
-    n: int
-    a: Fraction | mpf | int = 1
-    lam: Fraction | mpf | None = None
-    digits: int = DEFAULT_DIGITS
-    max_terms: int = DEFAULT_MAX_TERMS
-    trace: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         _check_int("coefficient index n", self.n, 0)
@@ -152,10 +150,10 @@ class CoefficientQuery:
                 raise ValueError("lerch requires |lambda| <= 1")
         elif self.lam is not None:
             raise ValueError("lam is only meaningful for the lerch family")
+        return self
 
 
-@dataclass(frozen=True)
-class CoefficientResult:
+class CoefficientResult(NamedTuple):
     """A computed coefficient: the raw series outcome plus the exact offset.
 
     `value` is the coefficient itself (offset + series value) and
@@ -178,72 +176,102 @@ class CoefficientResult:
 # The value table, the fixed-point path and its B rows, of the module docstring.
 _VALUE_LISTS = 16
 _WIDE = 24
-_GUARD = 320
+_GUARD = 320  # bits of W beyond the floors' prec + 64
 _values: OrderedDict = OrderedDict()
 _b_rows: OrderedDict = OrderedDict()
 
 
+def _floor(num: int, den: int, bits: int) -> tuple[int, int]:
+    """q = num / den as (man, exp) with man = [q 2^-exp], the exp that puts
+    |q| 2^-exp in [2^(bits-1), 2^bits); (0, 0) for q = 0."""
+    if not num:
+        return 0, 0
+    if den < 0:  # an Apostol-Bernoulli D_m = d^m of odd m, with d < 0
+        num, den = -num, -den
+    t = abs(num).bit_length() - den.bit_length()  # 2^(t-1) < |q| < 2^(t+1)
+    if abs(num) << max(-t, 0) < den << max(t, 0):
+        t -= 1
+    s = bits - 1 - t
+    return (num << s) // den if s >= 0 else num // (den << -s), -s
+
+
 def _grow(state: list, top: int, x: Fraction, lam, prec: int) -> None:
-    """Append q_k = P_m(x) / m!, m = k + 1, rounded once to prec, for every
-    k < top, and grow the Stirling rows through top.  state is [values,
-    numbers, d, fixed], fixed = [W, X, xs, (B, bs)] for a wide list, where
-    xs[i + 1] and bs[i + 1] sum |X_j| and |B_j| over j <= i.  Hold LOCK."""
+    """Append the floor (man, exp) of q_k = P_m(x) / m!, m = k + 1, at
+    prec + 64 bits, for every k < top, and grow the Stirling rows through
+    top.  state is [values, numbers, d, fixed], fixed = [W, X, xs, (B, bs),
+    U, V] for a wide list, where xs[i + 1] and bs[i + 1] sum |X_j| and |B_j|
+    over j <= i, and X_i = [2^W U / V] with U = u^i, V = v^i i!.  Hold LOCK."""
     values, numbers, d, fixed = state
     if len(numbers) <= top:
         state[1] = numbers = _numbers(top, lam)[0]
     stirling1(top, 0)
-    u, v = x.numerator, x.denominator
+    u, v, bits = x.numerator, x.denominator, prec + 64
     for m in range(len(values) + 1, top + 1):
-        lo = hi = None
+        value = None
         if fixed is not None:
-            W, X, xs, (B, bs) = fixed
+            W, X, xs, (B, bs), U, V = fixed
             for j in range(len(B), m + 1):
                 B.append((numbers[j] << W) // ((factorial(j + 1) if d is None else d**j) * factorial(j)))
                 bs.append(bs[-1] + abs(B[j]))
-            X.append((u**m << W) // (v**m * factorial(m)))
+            fixed[4], fixed[5] = U, V = U * u, V * v * m  # u^m and v^m m!
+            X.append((U << W) // V)
             xs.append(xs[-1] + abs(X[m]))
-            S, E = sum(map(int.__mul__, B, X[m::-1])), bs[m + 1] + xs[m + 1] + m + 1
-            lo, hi = (from_man_exp(S + e, -2 * W, prec, round_nearest) for e in (-E, E))
-        if lo is None or lo != hi:
+            S, E = sum(map(int.__mul__, B, reversed(X))), bs[m + 1] + xs[m + 1] + m + 1
+            lo, hi = S - E, S + E  # 2^(2W) q lies in [lo, hi]
+            r = lo.bit_length() - bits
+            if r >= 0 and hi.bit_length() == lo.bit_length() and lo >> r == hi >> r:
+                value = lo >> r, r - 2 * W
+        if value is None:
             num, den = _ratio(m, u, v, numbers, d)
-            lo = from_rational(num, den * factorial(m), prec, round_nearest)
-        values.append(lo)
+            value = _floor(num, den * factorial(m), bits)
+        values.append(value)
 
 
 def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
     """Series terms (-1)^(k+1) s1(k, n) q_k for k = n, n+1, ..., with
-    q_k = P_(k+1)(x) / (k+1)! rounded once, where P is the Bernoulli family
-    (lam None) or the Apostol-Bernoulli family of lam."""
-    prec, rnd = mp._prec_rounding
+    q_k = P_(k+1)(x) / (k+1)! its floor at prec + 64 bits, where P is the
+    Bernoulli family (lam None) or the Apostol-Bernoulli family of lam.
+    Each term is that product exactly, an mpf of any width."""
+    prec, make = mp.prec, mp.make_mpf
     d = None if lam is None else lam.numerator - lam.denominator
-    wide, W = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE, prec + _GUARD
+    wide, W = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE, prec + 64 + _GUARD
     key = x.as_integer_ratio(), None if lam is None else lam.as_integer_ratio(), prec  # ints hash fast
     with LOCK:  # a wide list starts X at X_0 = 2^W and shares the B row of (lam, W)
         state = kept(_values, key, _VALUE_LISTS, lambda: [[], [], d, [
-            W, [1 << W], [0, 1 << W], kept(_b_rows, (lam, W), _APPELL_LAMBDAS, lambda: [[], [0]])
-        ] if wide else None])
+            W, [1 << W], [0, 1 << W], kept(_b_rows, (lam, W), _APPELL_LAMBDAS, lambda: [[], [0]]),
+            1, 1] if wide else None])
     values, k = state[0], n
     while True:
         if k >= len(values):
             with LOCK:
                 _grow(state, k + 1, x, lam, prec)
-        s1 = _stirling1_rows[k][n]
-        yield mp.make_mpf(mpf_mul_int(values[k], s1 if k % 2 else -s1, prec, rnd))
+        man, exp = values[k]
+        man *= _stirling1_rows[k][n] if k % 2 else -_stirling1_rows[k][n]
+        if man:
+            z = (man & -man).bit_length() - 1  # odd, as from_man_exp makes it, in a third of its time
+            odd = (-man if man < 0 else man) >> z
+            yield make((1 if man < 0 else 0, odd, exp + z, odd.bit_length()))
+        else:
+            yield make(fzero)
         k += 1
 
 
 def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     """Evaluate one CoefficientQuery."""
+    n = query.n
     with working_precision(query.digits):
-        n = query.n
+        prec, rnd = mp._prec_rounding
         lam = fraction_from_mpf(query.lam) if query.family == "lerch" else None
-        offset = mpf(-1 if lam is None else 0)
         series = sum_semiconvergent(
             _terms(n, fraction_from_mpf(query.a) - 1, lam),
             start=n, max_terms=query.max_terms, trace=query.trace,
         )
-        value = offset + series.value
-        derivative = to_mpf(factorial(n)) * value
+        if lam is None:  # -1 joins the exact sum, rounded once; its scale is below 1
+            ((man, exp), *far), offset = series._sum, mp.make_mpf(fnone)
+            value = mp.make_mpf(_rounded([(man - (1 << -exp), exp), *far], prec, rnd))
+        else:
+            offset, value = mp.make_mpf(fzero), series.value
+        derivative = mp.make_mpf(mpf_mul_int(value._mpf_, factorial(n), prec, rnd))
         return CoefficientResult(query, series, offset, value, derivative)
 
 
@@ -318,7 +346,7 @@ def log_gamma_series(
             _terms(1, fraction_from_mpf(a), None),
             start=1, max_terms=max_terms, trace=trace,
         )
-        return replace(series, value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
+        return series._replace(value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
 
 
 def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
@@ -366,7 +394,7 @@ def system_residual(
 ) -> mpf:
     """Residual of the triangular system the coefficients solve.
 
-    With b_n = (-1)^n times the series part (value - offset) of the n-th
+    With b_n = (-1)^n times the series part (`series.value`) of the n-th
     coefficient, the computed coefficients of either family satisfy
 
         sum_{n>=k} s2(n, k) * b_n = -P_{k+1}(a-1) / (k+1)!
@@ -391,7 +419,7 @@ def system_residual(
         lhs = mpf(0)
         for n in range(k, top + 1):
             res = first if n == k else coeff(n)
-            lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * (res.value - res.offset))
+            lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * res.series.value)
         lamf = fraction_from_mpf(lam) if family == "lerch" else None
         # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!
         rhs = (-1) ** k * next(_terms(k, fraction_from_mpf(a) - 1, lamf))

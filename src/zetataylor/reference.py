@@ -38,8 +38,7 @@ reduce sums in a fixed order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
@@ -66,8 +65,8 @@ __all__ = [
 _GUARD_DPS = 10
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "em_cutoff em_order contour_radius contour_points",
+                              defaults=(Fraction(1, 2), 256))):
     """Tuning knobs for the reference evaluations.
 
     em_cutoff N and em_order J control Euler-Maclaurin; contour_radius r
@@ -77,12 +76,11 @@ class OracleConfig:
     below 10^-(digits+5).
     """
 
-    em_cutoff: int
-    em_order: int
-    contour_radius: Fraction = Fraction(1, 2)
-    contour_points: int = 256
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.em_cutoff < 4:
             raise ValueError("em_cutoff must be at least 4")
         if self.em_order < 2:
@@ -92,10 +90,11 @@ class OracleConfig:
         m = self.contour_points
         if m < 32 or m & (m - 1):
             raise ValueError("contour_points must be a power of two >= 32")
+        return self
 
     @classmethod
     def for_digits(cls, digits: int) -> "OracleConfig":
-        needed = math.ceil((digits + 5) / -math.log10(float(cls.contour_radius)))
+        needed = math.ceil((digits + 5) / -math.log10(float(cls._field_defaults["contour_radius"])))
         points = 1 << max(5, (needed - 1).bit_length())  # a power of two >= 32
         return cls(em_cutoff=digits + 10, em_order=digits // 2 + 10, contour_points=points)
 

@@ -2,9 +2,9 @@
 semi-convergent (asymptotic) series.
 
 The number type throughout is mpmath's mpf at the caller's working
-precision (`mpmath.mp.dps`, in decimal digits).  Exact inputs (ints,
-Fractions) are converted once, at the summation boundary, and each
-conversion is correctly rounded.
+precision (`mpmath.mp.dps`, in decimal digits).  A Fraction is converted
+once, at the summation boundary, correctly rounded; ints and mpf values
+are dyadic and summed as they are.
 
 A semi-convergent series is divergent, but its partial sums first approach
 the target value; the usable accuracy is set by the smallest-magnitude
@@ -32,20 +32,30 @@ requiring adjacency would defeat detection exactly there.  The cut is
 tracked as the terms arrive: the first term at or above the threshold
 after the current minimum fixes it, and a new minimum clears it.  A tie is
 not a new minimum, so ties truncate at the earlier index, which keeps the
-error estimate conservative.  The loop runs on raw mpf tuples under these
-rules, with mpf objects only for the result and a trace's per-term records.
+error estimate conservative.
+
+The engine is exact: an int or an mpf of any width is taken as it is,
+anything else rounded once by `to_mpf`; the partial sum is an int at the
+scale of the smallest exponent seen, and every comparison is exact.  A
+term whose top bit is more than 2^16 bits from the threshold's is kept
+apart as it is, so the ints stay within 2^17 bits plus the terms' widths.
+The value, the estimate and a trace record's term and running sum are each
+rounded once, so a value is within half an ulp of the exact partial sum of
+its terms.  The coefficient series hand over s1(k, n) q_k with q_k a floor
+of prec + 64 bits, so their value is within half an ulp plus
+sum_k |s1(k, n) q_k| 2^-(prec+63) of the exact partial sum of the series.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from functools import lru_cache
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import mpmath
-from mpmath import mp, mpf, workdps
-from mpmath.libmp import (from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_lt, mpf_mul,
+from mpmath import mp, mpf
+from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_mul,
                           mpf_pow_int, round_nearest)
 
 from .exact import LOCK
@@ -62,12 +72,21 @@ __all__ = [
 TerminationReason = Literal["minimal_term", "converged", "max_terms"]
 
 
-@contextmanager
-def working_precision(digits: int):
+class working_precision:
     """Hold `exact.LOCK` and work at `digits` decimal digits: the one place
     zetataylor changes mpmath's process-wide precision."""
-    with LOCK, workdps(digits):
-        yield
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __enter__(self):
+        with LOCK:  # released again if the precision cannot be set
+            self.saved, mp.dps = mp.prec, self.digits
+            LOCK.acquire()
+
+    def __exit__(self, *exc):
+        mp.prec = self.saved
+        LOCK.release()
 
 
 def _check_int(name: str, value, least: int) -> None:
@@ -99,18 +118,17 @@ def eval_polynomial(coeffs: Sequence, x) -> mpf:
     return mp.make_mpf(acc)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One row of a summation trace: term index, term value and the
-    running partial sum after adding it."""
+    running partial sum after adding it, each rounded once."""
 
     k: int
     term: mpf
     partial_sum: mpf
 
 
-@dataclass(frozen=True)
-class SemiConvergentResult:
+class SemiConvergentResult(namedtuple("SemiConvergentResult", "value error_estimate "
+                                      "truncation_index terminated_by trace", defaults=(None,))):
     """Outcome of a truncated summation.
 
     `value` is the partial sum through `truncation_index`.  For
@@ -120,14 +138,10 @@ class SemiConvergentResult:
     the magnitude of the last generated term at or above the threshold (an
     exact zero in last place says nothing about the tail).  `trace` is
     None unless requested; then it covers every generated term, including
-    the ones past the truncation point that triggered the stop.
+    the ones past the truncation point that triggered the stop.  The
+    engine also leaves the exact partial sum in `_sum`, as (man, exp) pieces
+    with the partial sum's first.
     """
-
-    value: mpf
-    error_estimate: mpf
-    truncation_index: int
-    terminated_by: TerminationReason
-    trace: tuple[TraceRecord, ...] | None = None
 
 
 class NonFiniteTermError(ArithmeticError):
@@ -137,6 +151,70 @@ class NonFiniteTermError(ArithmeticError):
     def __init__(self, index: int):
         super().__init__(f"non-finite term at index {index}")
         self.index = index
+
+
+_FAR = 1 << 16  # a term whose top bit is further from the threshold's is kept apart
+
+
+class _Far:
+    """The magnitude man 2^exp of a term kept apart: below the threshold if
+    tiny, above every term near it if huge, and compared exactly to a huge one."""
+
+    def __init__(self, man: int, exp: int, huge: bool):
+        self.man, self.exp, self.huge = man, exp, huge
+
+    def __lshift__(self, shift):  # a rescale leaves it as it is
+        return self
+
+    def __gt__(self, other):  # other < self, for an int at the scale
+        return self.huge
+
+    def __lt__(self, other):
+        if not isinstance(other, _Far):
+            return not self.huge
+        top, other_top = self.exp + self.man.bit_length(), other.exp + other.man.bit_length()
+        if top != other_top:
+            return top < other_top
+        low = min(self.exp, other.exp)
+        return self.man << self.exp - low < other.man << other.exp - low
+
+
+def _lead(pieces: list, i: int, g: int) -> tuple[int, int, int]:
+    """Sum pieces[i:j] exactly, stopping at the first j whose rest is below
+    2^(exp - g) of the sum so far: (man, exp, j).  The pieces are (man, exp),
+    nonzero, by top bit descending, so no shift exceeds a piece's width + g + 64."""
+    man = exp = 0
+    for j in range(i, len(pieces)):
+        m, e = pieces[j]
+        if man and e + m.bit_length() + (len(pieces) - j).bit_length() <= exp - g:
+            return man, exp, j
+        if not man:
+            man, exp = m, e
+        elif e < exp:
+            man, exp = (man << exp - e) + m, e
+        else:
+            man += m << e - exp
+    return man, exp, len(pieces)
+
+
+def _rounded(pieces: list, prec: int, rnd: str) -> tuple:
+    """The exact sum of the (man, exp) pieces, rounded once.  Past the
+    leading sum the rest counts only by its sign, a sticky bit below it."""
+    if len(pieces) == 1:
+        return from_man_exp(*pieces[0], prec, rnd)
+    pieces = sorted((p for p in pieces if p[0]), key=lambda p: -p[1] - p[0].bit_length())
+    g = prec + 3
+    man, exp, j = _lead(pieces, 0, g)
+    if j < len(pieces):
+        rest = _lead(pieces, j, 0)[0]
+        man, exp = (man << g + 1) + (rest > 0) - (rest < 0), exp - g - 1
+    return from_man_exp(man, exp, prec, rnd)
+
+
+@lru_cache(maxsize=16)  # a few precisions at a time, as the value table keeps
+def _threshold(dps: int, prec: int, rnd: str) -> tuple:
+    """10^-(dps+5) at prec bits, the convergence threshold, as a raw mpf."""
+    return mpf_pow_int(from_int(10), -(dps + 5), prec, rnd)
 
 
 def sum_semiconvergent(
@@ -149,17 +227,23 @@ def sum_semiconvergent(
     """Sum an indexed series (term k = start, start+1, ...) with
     minimal-term truncation, as described in the module docstring.
 
-    `terms` may yield anything `to_mpf` accepts, so exact generators can
-    yield Fractions directly.  The generator is consumed at most
-    `max_terms` times and must be fresh (not shared between calls).
+    `terms` may yield anything `to_mpf` accepts: an int or an mpf is taken
+    exactly, anything else (a Fraction, say) is rounded once by `to_mpf`.
+    The generator is consumed at most `max_terms` times and must be fresh
+    (not shared between calls).
     """
     _check_int("max_terms", max_terms, 2)
     prec, rnd = mp._prec_rounding
-    threshold = mpf_pow_int(from_int(10), -(mp.dps + 5), prec, rnd)
+    make = mp.make_mpf
+    # the partial sum, the threshold and every magnitude are ints times 2^scale,
+    # with scale the smallest exponent seen; a term with its top bit outside
+    # (low, high] is kept apart in far, so the ints stay within 2 _FAR bits
+    _, small, scale, bc = _threshold(mp.dps, prec, rnd)
+    low, high = scale + bc - _FAR, scale + bc + _FAR
+    partial, far = 0, []  # the exact sum is partial 2^scale plus the far (man, exp)
     records: list[TraceRecord] | None = [] if trace else None
-    partial = fzero
     min_mag = prev_mag = None
-    cut = None  # (k - 1, partial sum before term k, |term k|)
+    cut = None  # (k - 1, partial sum before term k, far terms before it, |term k|, their scale)
     seen_descent = False
     growth_sightings = consecutive_small = 0
     reason: TerminationReason = "max_terms"  # also when the generator runs dry
@@ -167,15 +251,29 @@ def sum_semiconvergent(
     k = start - 1
     for raw in terms:
         k += 1
-        # a term already at working precision needs no rounding
-        term = raw._mpf_ if isinstance(raw, mpf) and raw._mpf_[3] <= prec else to_mpf(raw)._mpf_
-        if not term[1] and term != fzero:  # NaN and the infinities have mantissa 0
+        sign, man, exp, bc = (raw._mpf_ if isinstance(raw, mpf) else from_int(raw)
+                              if isinstance(raw, int) else to_mpf(raw)._mpf_)
+        if bc < 0:  # NaN and the infinities
             raise NonFiniteTermError(k)
-        before, partial = partial, mpf_add(partial, term, prec, rnd)
+        if sign:
+            man = -man
+        before, nfar = partial, len(far)
+        if low < exp + bc <= high or not man:
+            if exp < scale:  # zero's exponent is 0, never below the threshold's
+                shift, scale = scale - exp, exp
+                before = partial = partial << shift
+                small, min_mag = small << shift, min_mag and min_mag << shift
+                prev_mag = prev_mag and prev_mag << shift
+            term = man << exp - scale
+            partial += term
+            mag = abs(term)
+        else:
+            far.append((man, exp))
+            mag = _Far(abs(man), exp, exp + bc > high)
         if records is not None:
-            records.append(TraceRecord(k, mp.make_mpf(term), mp.make_mpf(partial)))
-        mag = mpf_abs(term)
-        if mpf_lt(mag, threshold):
+            records.append(TraceRecord(k, make(from_man_exp(man, exp, prec, rnd)),
+                                       make(_rounded([(partial, scale), *far], prec, rnd))))
+        if mag < small:
             consecutive_small += 1
             if consecutive_small >= 2:
                 reason = "converged"
@@ -183,14 +281,14 @@ def sum_semiconvergent(
         else:
             consecutive_small = 0
             if prev_mag is not None:
-                if mpf_lt(mag, prev_mag):
+                if mag < prev_mag:
                     seen_descent = True
                 elif seen_descent:
                     growth_sightings += 1
-            if min_mag is None or mpf_lt(mag, min_mag):
+            if min_mag is None or mag < min_mag:
                 min_mag, cut = mag, None
             elif cut is None:
-                cut = (k - 1, before, mag)
+                cut = (k - 1, before, nfar, mag, scale)
             prev_mag = mag
             if growth_sightings >= 2:
                 reason = "minimal_term"
@@ -200,11 +298,17 @@ def sum_semiconvergent(
 
     if k < start:
         raise ValueError("term generator produced no terms")
-    kept = None if records is None else tuple(records)
+    nfar = len(far)
     if reason == "minimal_term":
-        index, value, estimate = cut
+        index, partial, nfar, mag, scale = cut
     elif reason == "converged":
-        index, value, estimate = k, partial, threshold
+        index, mag = k, small
     else:  # prev_mag is the magnitude of the last term at or above threshold
-        index, value, estimate = k, partial, mag if prev_mag is None else prev_mag
-    return SemiConvergentResult(mp.make_mpf(value), mp.make_mpf(estimate), index, reason, kept)
+        index, mag = k, mag if prev_mag is None else prev_mag
+    pieces = [(partial, scale), *far[:nfar]]
+    result = SemiConvergentResult(
+        make(_rounded(pieces, prec, rnd)),
+        make(from_man_exp(*(mag.man, mag.exp) if isinstance(mag, _Far) else (mag, scale), prec, rnd)),
+        index, reason, None if records is None else tuple(records))
+    result._sum = pieces
+    return result

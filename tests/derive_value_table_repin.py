@@ -1,13 +1,14 @@
 """Re-derive RUN_BITS in test_coefficients.py after a change of rounding.
 
-The value table keeps q_k = P_(k+1)(x) / (k+1)! rounded once, and each
-term is the integer weight times q_k, so a term is rounded twice where it
-was once rounded from its exact value; mpf inputs, once summed by a Horner
-at working precision, take the same exact path.  The results move by a few
-units in the last place, far below their error bars.  This script computes every
-RUN_BITS row on an older tree and on this one, asserts that the truncation
-index and the termination reason are equal and that each value moved by at
-most 1e-25 of its error estimate, and prints the new digests.
+The value table keeps each q_k = P_(k+1)(x) / (k+1)! as its floor at
+prec + 64 bits, each term is the integer weight times that floor exactly,
+and the engine rounds the exact partial sum once, where it once rounded
+each q_k, each term and each partial sum.  The results move by a few units
+in the last place, toward the exact partial sum, far below their error
+bars.  This script computes every RUN_BITS row on an older tree and on
+this one, asserts that the truncation index and the termination reason are
+equal and that each value moved by at most 1e-25 of its error estimate,
+and prints the new digests.
 
 Usage, with the old tree's `src` directory as the argument:
 

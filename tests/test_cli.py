@@ -326,6 +326,22 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout.strip())["value"] == "-1.5"
 
 
+def test_coeff_without_verify_loads_neither_dataclasses_nor_the_self_checks(tmp_path):
+    # a cold coeff pays only for what it prints: no dataclass on any import
+    # path, and the verification registry only for verify
+    code = (
+        "import sys\n"
+        "from zetataylor.cli import main\n"
+        "assert main(['coeff', '--family=lerch', '--a=7/5', '--lambda=-1/3', '--n=0..2']) == 0\n"
+        "assert main(['trace', '--family=riemann', '--n=1', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted({'dataclasses', 'zetataylor.verification'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "trace.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_one_parser_serves_every_default_precision(capsys, monkeypatch):
     from zetataylor import cli
 
@@ -401,7 +417,7 @@ PIN_GRID = [
 PIN_GRID += [["trace", *PIN_FUNCTIONS[i], "--digits=30", f"--n={n}"]
              for i, n in ((0, 1), (1, 2), (2, 3), (4, 1), (6, 2))]
 PIN_GRID += [["verify", f"--suite={s}", "--digits=30"] for s in ("identities", "coefficients")]
-CLI_PIN = "5a8ccd1c75a386cd81a7436c7d5e296cc6e8c583d8df78291e08f08bcb8dc02a"
+CLI_PIN = "76671f8ac097104301d0743655afa6450eeba735bcdec42e984725d4235f786e"
 
 
 def pin_outputs(main, out_dir) -> list:

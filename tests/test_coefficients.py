@@ -2,13 +2,14 @@
 
 import hashlib
 import io
+import math
 from fractions import Fraction
 from math import factorial
 
 import mpmath
 import pytest
 from mpmath import mpf, workdps
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import to_rational
 
 from zetataylor import coefficients, verification
 from zetataylor.coefficients import (
@@ -22,8 +23,8 @@ from zetataylor.coefficients import (
     riemann_coefficient,
     system_residual,
 )
-from zetataylor.exact import (apostol_bernoulli, appell_ratio, exp_polynomial_coeffs, harmonic_number,
-                              stirling1)
+from zetataylor.exact import (apostol_bernoulli, appell_ratio, appell_value, exp_polynomial_coeffs,
+                              harmonic_number, stirling1)
 from zetataylor.reference import (
     hurwitz_zeta,
     lerch_phi,
@@ -117,6 +118,16 @@ def test_query_rejects_non_int_index_and_non_finite_real_inputs(kwargs):
         args.setdefault("lam", Fraction(1, 2))
     with pytest.raises(ValueError):
         CoefficientQuery(**args)
+
+
+def test_replaced_and_made_queries_are_checked():
+    query = CoefficientQuery("lerch", 1, a=1, lam=Fraction(1, 2))
+    assert query._replace(n=2) == CoefficientQuery("lerch", 2, a=1, lam=Fraction(1, 2))
+    for fields in ({"n": -1}, {"lam": 1}, {"digits": 10}, {"family": "hurwitz"}):
+        with pytest.raises(ValueError):
+            query._replace(**fields)
+    with pytest.raises(ValueError):
+        CoefficientQuery._make(("hurwitz", 0, 0))
 
 
 def test_query_accepts_float_and_mpf_constants():
@@ -422,53 +433,53 @@ def test_mpf_inputs_give_the_bits_of_their_working_precision_fraction(digits):
 # Bits of every run n = 0..6: per (family, a, lam, digits), the first 16
 # hex digits of the sha256 of repr([(value._mpf_, error_estimate._mpf_,
 # truncation_index, terminated_by), ...]) with the mpf fields as int tuples.
-# derive_value_table_repin.py printed them when the value table began to
-# round each q_k once: it checks against the older tree that no truncation
-# index or reason moved and that no value moved by more than 1e-25 of its
-# estimate (the largest move was 2.2e-31).
+# derive_value_table_repin.py printed them when the engine began to sum
+# integer floors of q_k exactly and round once: it checks against the older
+# tree that no truncation index or reason moved and that no value moved by
+# more than 1e-25 of its estimate (the largest move was 1.9e-31).
 BITS_A = {"1": 1, "7/5": Fraction(7, 5), "mpf0.8": mpf(0.8)}
 BITS_LAM = {None: None, "-1": Fraction(-1), "-5/6": Fraction(-5, 6), "1/3": Fraction(1, 3),
             "mpf-0.41": mpf(-0.41), "mpf0.73": mpf(0.73)}
 RUN_BITS = {
-    ("riemann", "1", None, 30): "fd3d17ce2d1b1c56",
-    ("hurwitz", "7/5", None, 30): "55bb73cebb96ddcd",
-    ("lerch", "7/5", "-1", 30): "5a9f041824e06699",
-    ("lerch", "7/5", "-5/6", 30): "ee4fc353792b269b",
-    ("lerch", "7/5", "1/3", 30): "8fac786ea69ba134",
-    ("lerch", "7/5", "mpf-0.41", 30): "21f907cd89765994",
-    ("lerch", "7/5", "mpf0.73", 30): "58c9447d9ac3f2bd",
-    ("hurwitz", "mpf0.8", None, 30): "e75337da109c252b",
-    ("lerch", "mpf0.8", "-1", 30): "33ba0cb99d982b61",
-    ("lerch", "mpf0.8", "-5/6", 30): "c957b3278c685aec",
-    ("lerch", "mpf0.8", "1/3", 30): "636b6bd066f4602d",
-    ("lerch", "mpf0.8", "mpf-0.41", 30): "0fd6ad4329447386",
-    ("lerch", "mpf0.8", "mpf0.73", 30): "97f5076b5e346a88",
-    ("riemann", "1", None, 50): "5407f2173a98e09b",
-    ("hurwitz", "7/5", None, 50): "2c33f0390e5b9dab",
-    ("lerch", "7/5", "-1", 50): "791fc9d1e92e1a26",
-    ("lerch", "7/5", "-5/6", 50): "8604843cf91233b1",
-    ("lerch", "7/5", "1/3", 50): "52e5f790c07f3610",
-    ("lerch", "7/5", "mpf-0.41", 50): "2b5f01b758dd6c34",
-    ("lerch", "7/5", "mpf0.73", 50): "714934788088143b",
-    ("hurwitz", "mpf0.8", None, 50): "4fd6787030fa0802",
-    ("lerch", "mpf0.8", "-1", 50): "27358797bea2a1e8",
-    ("lerch", "mpf0.8", "-5/6", 50): "71198634f12f57d7",
-    ("lerch", "mpf0.8", "1/3", 50): "ed440926a75ca9a8",
-    ("lerch", "mpf0.8", "mpf-0.41", 50): "29b7be1fe9696c57",
-    ("lerch", "mpf0.8", "mpf0.73", 50): "324c36de4a165d30",
-    ("riemann", "1", None, 100): "13a48d32a7032267",
-    ("hurwitz", "7/5", None, 100): "30ebae75c3f45de7",
-    ("lerch", "7/5", "-1", 100): "f0bd0a1a8f609e4a",
-    ("lerch", "7/5", "-5/6", 100): "847f3e54ea2039bd",
-    ("lerch", "7/5", "1/3", 100): "cb316be83bad8dd5",
-    ("lerch", "7/5", "mpf-0.41", 100): "bbbb07dd2ec4265a",
-    ("lerch", "7/5", "mpf0.73", 100): "a448a4a22331407b",
-    ("hurwitz", "mpf0.8", None, 100): "15c13a62df6723bb",
-    ("lerch", "mpf0.8", "-1", 100): "ee882fafd8505a14",
-    ("lerch", "mpf0.8", "-5/6", 100): "af634334212bdd1e",
-    ("lerch", "mpf0.8", "1/3", 100): "f431edf9193da2a4",
-    ("lerch", "mpf0.8", "mpf-0.41", 100): "7efaa960a2c703a1",
-    ("lerch", "mpf0.8", "mpf0.73", 100): "c0b667dc60207a87",
+    ("riemann", "1", None, 30): "a66bdc6598ee78a1",
+    ("hurwitz", "7/5", None, 30): "fea82dc5e9bfe88a",
+    ("lerch", "7/5", "-1", 30): "baf214f7888e95a4",
+    ("lerch", "7/5", "-5/6", 30): "b6af8c2f0e008f17",
+    ("lerch", "7/5", "1/3", 30): "f469942f6b1bc00f",
+    ("lerch", "7/5", "mpf-0.41", 30): "ec860a4cf29bf7b5",
+    ("lerch", "7/5", "mpf0.73", 30): "792bed42a20aeb13",
+    ("hurwitz", "mpf0.8", None, 30): "4b03ab4dfb5ef4ed",
+    ("lerch", "mpf0.8", "-1", 30): "b8dadfee210be271",
+    ("lerch", "mpf0.8", "-5/6", 30): "5e2673a103931c0e",
+    ("lerch", "mpf0.8", "1/3", 30): "619c401942eb3ab4",
+    ("lerch", "mpf0.8", "mpf-0.41", 30): "5e742c22e2f831ce",
+    ("lerch", "mpf0.8", "mpf0.73", 30): "e4c969e17cc06685",
+    ("riemann", "1", None, 50): "6d298b6d6cd9a376",
+    ("hurwitz", "7/5", None, 50): "632ec8261e0ac844",
+    ("lerch", "7/5", "-1", 50): "7011c097008f4e82",
+    ("lerch", "7/5", "-5/6", 50): "a2cafd4b7e0c0796",
+    ("lerch", "7/5", "1/3", 50): "767915c91b288eb5",
+    ("lerch", "7/5", "mpf-0.41", 50): "59add544e568065e",
+    ("lerch", "7/5", "mpf0.73", 50): "034d3d855d010d4c",
+    ("hurwitz", "mpf0.8", None, 50): "8cf817824bf8a213",
+    ("lerch", "mpf0.8", "-1", 50): "a93a7bcbe3da0b03",
+    ("lerch", "mpf0.8", "-5/6", 50): "402df5d52a3a96a0",
+    ("lerch", "mpf0.8", "1/3", 50): "1f002449e958ea97",
+    ("lerch", "mpf0.8", "mpf-0.41", 50): "6999e7a0bb1d868d",
+    ("lerch", "mpf0.8", "mpf0.73", 50): "413b90ba8a0704e1",
+    ("riemann", "1", None, 100): "e107814b4276c956",
+    ("hurwitz", "7/5", None, 100): "6da06b00dc76a532",
+    ("lerch", "7/5", "-1", 100): "d9c07775230c19d8",
+    ("lerch", "7/5", "-5/6", 100): "7529c475cee0bd0b",
+    ("lerch", "7/5", "1/3", 100): "600af53b4fa925f9",
+    ("lerch", "7/5", "mpf-0.41", 100): "98a810831c01204b",
+    ("lerch", "7/5", "mpf0.73", 100): "6f04eee4a4dc570a",
+    ("hurwitz", "mpf0.8", None, 100): "776e22afdfbb6e2e",
+    ("lerch", "mpf0.8", "-1", 100): "36a96bddae35aad4",
+    ("lerch", "mpf0.8", "-5/6", 100): "ae7f5346cd69da59",
+    ("lerch", "mpf0.8", "1/3", 100): "91de46de41d18f9c",
+    ("lerch", "mpf0.8", "mpf-0.41", 100): "ccfc20c61870eabf",
+    ("lerch", "mpf0.8", "mpf0.73", 100): "b660c6f7b00d3b33",
 }
 
 
@@ -524,10 +535,24 @@ def _key(x, lam, prec):
     return x.as_integer_ratio(), None if lam is None else lam.as_integer_ratio(), prec
 
 
+def _floor_at(q: Fraction, bits: int) -> tuple[int, int]:
+    """(man, exp) with man = floor(q / 2^exp) and 2^(bits-1) <= |q| / 2^exp < 2^bits,
+    found in Fraction arithmetic; (0, 0) for q = 0."""
+    if not q:
+        return 0, 0
+    exp = abs(q.numerator).bit_length() - q.denominator.bit_length() - bits
+    while abs(q) >= Fraction(2) ** (exp + bits):
+        exp += 1
+    while abs(q) < Fraction(2) ** (exp + bits - 1):
+        exp -= 1
+    return math.floor(q / Fraction(2) ** exp), exp
+
+
 @pytest.fixture(scope="module")
 def exact_q():
     """Per grid point, the exact (num, den) of P_m(x) / m! from
-    `appell_ratio`, m = 1 .. _FIXED_TOP, and their bits at each precision."""
+    `appell_ratio`, m = 1 .. _FIXED_TOP, and their floors at prec + 64 bits
+    for each precision."""
     out = {}
     for x in _FIXED_X:
         for lam in _FIXED_LAM:
@@ -535,19 +560,20 @@ def exact_q():
             for m in range(1, _FIXED_TOP + 1):
                 num, den = appell_ratio(m, x, lam)
                 ratios.append((num, den * factorial(m)))
-            bits = {}
+            floors = {}
             for digits in _FIXED_DIGITS:
                 with workdps(digits):
                     prec = mpmath.mp.prec
-                bits[prec] = [from_rational(num, den, prec, round_nearest) for num, den in ratios]
-            out[x, lam] = ratios, bits
+                floors[prec] = [_floor_at(Fraction(num, den), prec + 64) for num, den in ratios]
+            out[x, lam] = ratios, floors
     return out
 
 
-@pytest.mark.parametrize("guard", [320, 0])
+@pytest.mark.parametrize("guard", [coefficients._GUARD, 0])
 def test_fixed_point_values_match_the_exact_route(monkeypatch, exact_q, guard):
-    # every list takes the fixed-point path; with guard 0 the test settles
-    # few values, and each one it settles must still be exact
+    # every list takes the fixed-point path; at the production width the
+    # test settles most values, with guard 0 few, and each one it settles
+    # must still be the floor (man, exp) of the exact route
     fallbacks, fallback_key = [], None
 
     def counted(m, u, v, numbers, d):  # the exact route: once per value the interval leaves open
@@ -604,7 +630,7 @@ PIN_SHIFTS = (Fraction(5, 7), mpf(2.3))
 PIN_LAMBDAS = (Fraction(-1), Fraction(-2, 7), Fraction(3, 4), mpf(-0.41), mpf(0.73))
 PIN_CALLS = [("riemann", 1, None)] + [("hurwitz", a, None) for a in PIN_SHIFTS] + [
     ("lerch", a, lam) for a in PIN_SHIFTS for lam in PIN_LAMBDAS]
-VALUE_PIN = "4ee54fd16232c3e34c2f6fcd558d23ab53fdb35126d6c32e5373cf5446ae3ec6"
+VALUE_PIN = "5d21dd6505914c75e353eeba8d3db3c5b7f4234aadd7530bd7f7ad9584ff3945"
 
 
 def pin_rows() -> list:
@@ -622,3 +648,28 @@ def pin_rows() -> list:
 
 def test_in_process_bits_match_the_pin():
     assert hashlib.sha256(repr(pin_rows()).encode()).hexdigest() == VALUE_PIN
+
+
+def test_values_are_within_the_stated_bound_of_the_exact_partial_sum():
+    # each q_k is a floor at prec + 64 bits, off by less than |q_k| 2^-(prec+63),
+    # and the exact sum of the terms, offset included, is rounded once; so
+    # every value of the pin's grid is within half an ulp plus
+    # sum_k |s1(k, n) q_k| 2^-(prec+63) of the exact partial sum through its index
+    qs = {}
+    for family, a, lam in PIN_CALLS:
+        for digits in (30, 50, 100):
+            with workdps(digits):
+                prec = mpmath.mp.prec
+                x, lam_q = fraction_from_mpf(a) - 1, None if lam is None else fraction_from_mpf(lam)
+            q = qs.setdefault((x, lam_q), [])
+            for n in range(7):
+                res = compute_coefficient(CoefficientQuery(family, n, a, lam, digits))
+                top = res.series.truncation_index
+                q += [appell_value(m + 1, x, lam_q) / factorial(m + 1) for m in range(len(q), top + 1)]
+                terms = [(-1) ** (k + 1) * stirling1(k, n) * q[k] for k in range(n, top + 1)]
+                exact = (0 if family == "lerch" else -1) + sum(terms)
+                _, man, exp, bc = res.value._mpf_
+                half_ulp = Fraction(2) ** (exp + bc - prec - 1) if man else 0
+                bound = half_ulp + sum(map(abs, terms)) * Fraction(2) ** -(prec + 63)
+                got = Fraction(*to_rational(res.value._mpf_))
+                assert abs(got - exact) <= bound, (family, a, lam, digits, n)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp
 
 from zetataylor import coefficients, exact
 from zetataylor.coefficients import fraction_from_mpf
@@ -342,9 +342,9 @@ def test_caches_are_consistent_under_threads():
     assert len(keys) > coefficients._VALUE_LISTS and len(lams) > exact._APPELL_LAMBDAS
     starts = (0, 1, 3, 6)  # n = 0 weighs only P_1; n = 1 weighs P_2 .. P_9
 
-    def q(x, lam, k, prec):  # P_(k+1)(x) / (k+1)!, rounded once at prec
+    def q(x, lam, k, prec):  # the floor (man, exp) of P_(k+1)(x) / (k+1)! at prec + 64 bits
         value = sum(c * x**p for p, c in enumerate(appell_row(k + 1, lam))) / factorial(k + 1)
-        return mpmath.mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
+        return coefficients._floor(value.numerator, value.denominator, prec + 64)
 
     def terms(x, lam, n):
         return tuple(islice(coefficients._terms(n, x, lam), 8))
@@ -387,13 +387,14 @@ def test_caches_are_consistent_under_threads():
     for lam, value in results[0][3]:
         assert value == apostol_series_division(14, Fraction(1, 3), lam)[14]
     for (x, lam, start), got in results[0][4]:  # serial reference, without the table
-        with mpmath.workprec(prec):
-            want = tuple((-1) ** (k + 1) * stirling1(k, start) * q(x, lam, k, prec)
-                         for k in range(start, start + 8))
-        assert [t._mpf_ for t in got] == [t._mpf_ for t in want], (x, lam, start)
+        want = []
+        for k in range(start, start + 8):  # each term s1(k, n) times the floor, exactly
+            man, exp = q(x, lam, k, prec)
+            want.append(from_man_exp((-1) ** (k + 1) * stirling1(k, start) * man, exp))
+        assert [t._mpf_ for t in got] == want, (x, lam, start)
     for ((u, v), lam_pq, key_prec), (values, *_) in coefficients._values.items():  # every kept value
         x, lam = Fraction(u, v), lam_pq and Fraction(*lam_pq)
-        assert values == [q(x, lam, k, key_prec)._mpf_ for k in range(len(values))], (x, lam, key_prec)
+        assert values == [q(x, lam, k, key_prec) for k in range(len(values))], (x, lam, key_prec)
     assert coefficients._b_rows
     for (lam, W), (B, sums) in coefficients._b_rows.items():  # every kept B row
         b = [appell_row(j, lam)[0] for j in range(len(B))]  # b_j = P_j(0)

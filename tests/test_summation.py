@@ -1,16 +1,19 @@
 """Summation engine: termination rules, error estimates, invariants."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
+from zetataylor import summation
 from zetataylor.exact import bernoulli_polynomial, stirling1
 from zetataylor.summation import (
     NonFiniteTermError,
@@ -18,6 +21,12 @@ from zetataylor.summation import (
     sum_semiconvergent,
     to_mpf,
 )
+
+
+def _exact(x) -> Fraction:
+    """A finite mpf or an int as its exact rational value."""
+    return Fraction(x) if isinstance(x, int) else Fraction(*to_rational(x._mpf_))
+
 
 # log(2*pi)/2, frozen from an independent 58-digit evaluation
 HALF_LOG_2PI = "0.9189385332046727417803297364056176398613974736377834128"
@@ -158,8 +167,9 @@ def test_determinism_bit_identical():
 
 
 def test_every_term_is_at_working_precision():
-    # an mpf already at working precision is used as it is; a wider mpf, a
-    # Fraction, an int and a float are each rounded once, as to_mpf does
+    # an int and an mpf of any width are summed exactly, a Fraction and a
+    # float are rounded once by to_mpf first; each trace term is its term
+    # rounded once, and the value is the exact sum rounded once
     with mpmath.workdps(60):
         wide, wider = mpf(1) / 3, mpf(-2) / 7
     with mpmath.workdps(30):
@@ -167,9 +177,61 @@ def test_every_term_is_at_working_precision():
         res = sum_semiconvergent(iter(raw), start=0, max_terms=len(raw), trace=True)
         want = [to_mpf(x)._mpf_ for x in raw]
         prec = mpmath.mp.prec
+        taken = [to_mpf(x) if isinstance(x, (Fraction, float)) else x for x in raw]
+        total = sum(_exact(x) for x in taken)
+        assert res.value._mpf_ == from_rational(total.numerator, total.denominator, prec, round_nearest)
     assert [rec.term._mpf_ for rec in res.trace] == want
     assert all(rec.term._mpf_[3] <= prec for rec in res.trace)
     assert res.trace[1].term != wide
+    assert _exact(res.value) != sum(_exact(rec.term) for rec in res.trace)  # the wide terms count
+
+
+def test_tiny_and_cancelling_terms_are_summed_exactly():
+    # a sum at a fixed scale of 2^-(prec+64) would lose both: terms far
+    # below it, and a wide term that cancels all but its last bits
+    with mpmath.workdps(30):
+        prec = mpmath.mp.prec
+        tiny = sum_semiconvergent(iter([mpf(2) ** -500, 3 * mpf(2) ** -500]), start=0)
+        assert tiny.terminated_by == "converged"
+        assert tiny.value == mpf(2) ** -498
+        with mpmath.workprec(prec + 300):
+            minus_near_one = mpf(2) ** -(prec + 250) - 1
+        cancel = sum_semiconvergent(iter([1, minus_near_one]), start=0, max_terms=2, trace=True)
+        assert cancel.terminated_by == "max_terms"
+        assert cancel.value == mpf(2) ** -(prec + 250)
+        assert cancel.trace[1].partial_sum == cancel.value
+        assert cancel.trace[1].term == -1  # the term rounded once; the sum took it exactly
+
+
+def test_terms_far_from_the_threshold_build_no_wide_ints():
+    # a term 10^+-(10^8) away would make ints of 330 million bits on one
+    # scale; kept apart, the sum stays exact and the ints small
+    tiny, big, prec = mpf("1e-100000000"), mpf("1e100000000"), mpmath.mp.prec
+    with mpmath.workprec(prec + 1):
+        tie = 1 + mpf(2) ** -prec  # halfway between 1 and the next mpf; a tiny term decides
+    up = 1 + mpf(2) ** (1 - prec)
+    cases = [  # terms, max_terms, value, estimate, reason, each partial sum rounded once
+        ([tie, tiny], 2, up, 1, "max_terms", [1, up]),
+        ([tie, -tiny], 2, 1, 1, "max_terms", [1, 1]),
+        ([tie, 2 * tiny, -tiny], 3, up, mpf(10) ** -(mpmath.mp.dps + 5), "converged",
+         [1, up, up]),
+        ([1, tiny], 2, 1, 1, "max_terms", [1, 1]),
+        ([1, tiny, -1], 3, tiny, 1, "max_terms", [1, 1, tiny]),
+        ([big, 1, -big], 3, 1, big, "max_terms", [big, big, 1]),
+        ([4 * big, 2 * big, big, 2 * big, 4 * big], 9, 7 * big, 2 * big, "minimal_term",
+         [4 * big, 6 * big, 7 * big, 9 * big, 13 * big]),
+        ([tiny, tiny], 9, 2 * tiny, mpf(10) ** -(mpmath.mp.dps + 5), "converged",
+         [tiny, 2 * tiny]),
+    ]
+    tracemalloc.start()
+    try:
+        for terms, max_terms, value, estimate, reason, partials in cases:
+            res = sum_semiconvergent(iter(terms), start=0, max_terms=max_terms, trace=True)
+            assert (res.value, res.error_estimate, res.terminated_by) == (value, estimate, reason)
+            assert [rec.partial_sum for rec in res.trace] == partials
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,12 +243,14 @@ def test_every_term_is_at_working_precision():
     )
 )
 def test_trace_telescopes_and_value_matches(vals):
+    # each partial sum is the exact running sum rounded once
     res = sum_semiconvergent(iter(vals), start=0, trace=True)
     assert res.trace is not None
-    prev = mpf(0)
-    for rec in res.trace:
-        assert rec.partial_sum == prev + rec.term
-        prev = rec.partial_sum
+    prec, running = mpmath.mp.prec, Fraction(0)
+    for rec, x in zip(res.trace, vals):
+        running += _exact(to_mpf(x))
+        assert rec.partial_sum._mpf_ == from_rational(running.numerator, running.denominator,
+                                                      prec, round_nearest)
     cut = [r for r in res.trace if r.k == res.truncation_index]
     assert len(cut) == 1
     assert res.value == cut[0].partial_sum
@@ -314,27 +378,24 @@ def test_trace_does_not_change_the_cut(vals, max_terms, start):
             k, value._mpf_, estimate._mpf_)
 
 
-def _mpf_object_engine(terms, start, max_terms):
-    """The engine's loop as it ran on mpf objects (`+`, `abs`, `<`,
-    `mpmath.isfinite`) with its own conversion: the oracle of the raw-tuple
-    loop's bits."""
-    def conv(x):
-        if isinstance(x, mpf) and x._mpf_[3] <= mpmath.mp.prec:
-            return x
-        if isinstance(x, Fraction):
-            return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec,
-                                                    round_nearest))
-        return mpmath.mpf(x) if isinstance(x, int) else +mpmath.mpmathify(x)
+def _exact_engine(terms, start, max_terms):
+    """The engine's loop in exact Fraction arithmetic on the terms as the
+    engine takes them (an int or an mpf exactly, anything else rounded once
+    by to_mpf), with the value and the estimate rounded once at the end:
+    the oracle of the integer loop's bits."""
+    def rounded(x):
+        return from_rational(x.numerator, x.denominator, mpmath.mp.prec, round_nearest)
 
-    threshold = mpf(10) ** (-(mpmath.mp.dps + 5))
-    partial, min_mag, prev_mag, cut = mpf(0), None, None, None
+    threshold = _exact(mpf(10) ** (-(mpmath.mp.dps + 5)))
+    partial, min_mag, prev_mag, cut = Fraction(0), None, None, None
     seen_descent, growth_sightings, consecutive_small, reason = False, 0, 0, "max_terms"
     k = start - 1
     for raw in terms:
         k += 1
-        term = conv(raw)
+        term = raw if isinstance(raw, (int, mpf)) else to_mpf(raw)
         if not mpmath.isfinite(term):
             raise NonFiniteTermError(k)
+        term = _exact(term)
         before, partial = partial, partial + term
         mag = abs(term)
         if mag < threshold:
@@ -362,10 +423,10 @@ def _mpf_object_engine(terms, start, max_terms):
     if reason == "minimal_term":
         index, value, estimate = cut
     elif reason == "converged":
-        index, value, estimate = k, partial, +threshold
+        index, value, estimate = k, partial, threshold
     else:
-        index, value, estimate = k, partial, abs(term) if prev_mag is None else prev_mag
-    return value._mpf_, estimate._mpf_, index, reason
+        index, value, estimate = k, partial, mag if prev_mag is None else prev_mag
+    return rounded(value), rounded(estimate), index, reason
 
 
 def _engine_term(kind: str, i: int, dps: int):
@@ -380,27 +441,39 @@ def _engine_term(kind: str, i: int, dps: int):
     if kind == "wide":  # an mpf wider than the working precision
         with mpmath.workprec(mpmath.mp.prec + 40):
             return mpf(i) / 3
+    if kind == "cancel":  # a wide mpf that cancels a "wide" term but for its last bits
+        with mpmath.workprec(mpmath.mp.prec + 80):
+            return mpf(i) / 3 - mpf(i) / 3 * mpf(2) ** -(mpmath.mp.prec + 60)
     if kind == "float":
         return i / 7
+    if kind == "far":  # far above and below the threshold
+        return mpf(i) * mpf(2) ** (300 * i)
+    if kind == "tie":  # odd i: halfway between two mpf values
+        prec = mpmath.mp.prec
+        with mpmath.workprec(prec + 4):
+            return i * (1 + mpf(2) ** -prec)
     return (mpf("nan"), mpf("inf"), mpf("-inf"), float("nan"), float("-inf"))[abs(i) % 5]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from([15, 30, 60]),
-    st.lists(st.tuples(st.sampled_from(["half", "half", "int", "tiny", "wide", "float"]),
+    st.lists(st.tuples(st.sampled_from(["half", "half", "int", "tiny", "wide", "cancel", "float",
+                                        "far", "tie"]),
                        st.integers(-6, 6)), min_size=1, max_size=30),
     st.integers(0, 60),  # where a NaN or an infinity goes, if within the list
     st.integers(2, 35),
     st.integers(-3, 3),
+    st.sampled_from([None, 1, 8, 200]),  # _FAR as shipped, or small so most terms are kept apart
 )
-def test_raw_tuple_engine_matches_the_mpf_object_loop(dps, kinds, bad_at, max_terms, start):
-    with mpmath.workdps(dps):
+@example(15, [("half", 1), ("tiny", 1), ("cancel", 1), ("half", 1)], 60, 4, 0, 200)  # cut after a rescale
+def test_engine_matches_the_exact_fraction_loop(dps, kinds, bad_at, max_terms, start, far):
+    with mpmath.workdps(dps), mock.patch.object(summation, "_FAR", far or summation._FAR):
         vals = [_engine_term(kind, i, dps) for kind, i in kinds]
         if bad_at < len(vals):
             vals[bad_at] = _engine_term("bad", bad_at, dps)
         outcomes = []
-        for route in (_mpf_object_engine, None):
+        for route in (_exact_engine, None):
             try:
                 if route is None:
                     res = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms)
@@ -410,4 +483,11 @@ def test_raw_tuple_engine_matches_the_mpf_object_loop(dps, kinds, bad_at, max_te
                     outcomes.append(route(iter(vals), start, max_terms))
             except NonFiniteTermError as exc:
                 outcomes.append(("non-finite", exc.index))
+        if outcomes[1][0] != "non-finite":  # each trace row's sum is the running sum rounded once
+            traced, running = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms,
+                                                 trace=True), Fraction(0)
+            for rec, x in zip(traced.trace, vals):
+                running += _exact(x if isinstance(x, (int, mpf)) else to_mpf(x))
+                assert rec.partial_sum._mpf_ == from_rational(running.numerator, running.denominator,
+                                                              mpmath.mp.prec, round_nearest)
     assert outcomes[0] == outcomes[1]
