@@ -25,9 +25,9 @@ CHECKS = [
 
 # wall-time budgets in seconds, by check id
 BUDGET_S = {
-    "coefficients/hurwitz_n0_closed_form": 1.0,
+    "coefficients/n0_closed_forms": 1.0,
     "identities/stirling_orthogonality": 1.0,
-    "coefficients/hurwitz_n1_loggamma": 5.0,
+    "oracle/series_vs_jet": 5.0,
     "oracle/contour_vs_jet": 30.0,
 }
 

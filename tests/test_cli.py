@@ -417,7 +417,7 @@ PIN_GRID = [
 PIN_GRID += [["trace", *PIN_FUNCTIONS[i], "--digits=30", f"--n={n}"]
              for i, n in ((0, 1), (1, 2), (2, 3), (4, 1), (6, 2))]
 PIN_GRID += [["verify", f"--suite={s}", "--digits=30"] for s in ("identities", "coefficients")]
-CLI_PIN = "76671f8ac097104301d0743655afa6450eeba735bcdec42e984725d4235f786e"
+CLI_PIN = "45a57b9417a9cc70d4d96f4ffb93fa1348d78839240a017551b95868eb455eb2"
 
 
 def pin_outputs(main, out_dir) -> list:

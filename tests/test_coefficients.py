@@ -5,6 +5,7 @@ import io
 import math
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -344,6 +345,80 @@ def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
     ok, detail = verification.check_newton_identity(30)
     assert not ok
     assert detail.startswith("105 of 120 points miss")
+
+
+def test_series_vs_jet_names_the_point_a_shifted_jet_value_misses(monkeypatch):
+    def shifted(family, n_max, a, lam=None, **kw):
+        jet = taylor_coefficients(family, n_max, a, lam, **kw)
+        if (family, a) == ("hurwitz", Fraction(3, 2)):
+            jet[2] = jet[2]._replace(value=jet[2].value + 1)
+        return jet
+
+    monkeypatch.setattr(verification.reference, "taylor_coefficients", shifted)
+    assert verification.check_series_vs_jet(30) == (
+        False, "series misses the reference at hurwitz a=3/2 n=2 (delta)")
+
+
+def test_series_vs_jet_names_an_n1_estimate_above_its_cap(monkeypatch):
+    # an estimate of 1 still covers the delta, so only the 1e-2 cap fails
+    def loose(query):
+        res = compute_coefficient(query)
+        if query[:3] == ("hurwitz", 1, Fraction(2)):
+            return SimpleNamespace(value=res.value, error_estimate=mpf(1))
+        return res
+
+    monkeypatch.setattr(verification.coeffs, "compute_coefficient", loose)
+    assert verification.check_series_vs_jet(30) == (
+        False, "series misses the reference at hurwitz a=2 n=1 (estimate above 1e-2)")
+
+
+@pytest.mark.parametrize("s,a", [(0, Fraction(1, 2)), (0, Fraction(1)), (-1, Fraction(1))], ids=str)
+def test_reference_closed_forms_keeps_the_tighter_tolerance_where_tables_meet(monkeypatch, s, a):
+    # these points are both classical values (1e-30 at 30 digits) and
+    # negative-integer values (1e-22); a shift of 1e-25 must miss
+    def shifted(s_, a_, *args, **kw):
+        value = hurwitz_zeta(s_, a_, *args, **kw)
+        return value + mpf("1e-25") if (s_, a_) == (s, a) else value
+
+    monkeypatch.setattr(verification.reference, "hurwitz_zeta", shifted)
+    assert verification.check_reference_closed_forms(30) == (
+        False, f"1 of 72 points miss, first (s={s}, a={a}, lam=None)")
+
+
+def test_n0_closed_forms_requires_every_series_to_converge(monkeypatch):
+    # the last Lerch point keeps its value but stops on max_terms
+    def unconverged(query):
+        res = compute_coefficient(query)
+        if query[:4] == ("lerch", 0, Fraction(2), Fraction(9, 10)):
+            return res._replace(series=res.series._replace(terminated_by="max_terms"))
+        return res
+
+    monkeypatch.setattr(verification.coeffs, "compute_coefficient", unconverged)
+    assert verification.check_n0_closed_forms(30) == (False, "max delta=0.0 on 22 points")
+
+
+def test_stirling_orthogonality_checks_the_exp_polynomial_rows(monkeypatch):
+    def bumped(k):
+        row = exp_polynomial_coeffs(k)
+        return row[:-1] + (row[-1] + 1,) if k == 30 else row
+
+    monkeypatch.setattr(verification.exact, "exp_polynomial_coeffs", bumped)
+    assert verification.check_stirling_orthogonality(30) == (
+        False, "exp_polynomial_coeffs(30) is not the s2 row")
+
+
+def test_coefficients_suite_needs_no_reference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coefficients suite called the reference")
+
+    for name in ("hurwitz_zeta", "lerch_phi", "taylor_coefficients",
+                 "taylor_coefficients_contour", "log_gamma_ref"):
+        monkeypatch.setattr(verification.reference, name, refuse)
+    out = io.StringIO()
+    assert verification.run_suite("coefficients", 30, out), out.getvalue()
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(verification.SUITES["coefficients"])
+    assert all(line.startswith("PASS coefficients/") for line in lines)
 
 
 @pytest.mark.parametrize("lam", [Fraction(-1), Fraction(-9, 10), Fraction(-1, 2), Fraction(-1, 3)],
