@@ -35,7 +35,6 @@ from .summation import (
     NonFiniteTermError,
     SemiConvergentResult,
     TraceRecord,
-    eval_polynomial,
     sum_semiconvergent,
     to_mpf,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "apostol_bernoulli",
     "harmonic_number",
     "sum_semiconvergent",
-    "eval_polynomial",
     "to_mpf",
     "SemiConvergentResult",
     "TraceRecord",

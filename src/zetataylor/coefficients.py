@@ -19,13 +19,13 @@ Hurwitz; at s = -m it stops after k = m and gives (1 - B_{m+1}(a))/(m+1)
 and -beta_{m+1}(a, lam)/(m+1), which `verification` checks exactly.
 
 Both polynomial families are Appell sequences (`exact.appell_row`), so
-every series here, log-gamma included, has terms (-1)^(k+1) s1(k, n) q_k
-with q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family
-only picks P and the offset.  Every input is exact first: an int or a
-Fraction as it is, anything else rounded to working precision and taken as
-its dyadic value.  The "-1" is an exact offset added to the exact sum of
-the series, rounded with it once; traces show the series itself and error
-estimates describe only the series.
+every series here has terms (-1)^(k+1) s1(k, n) q_k with
+q_k = P_{k+1}(x) / (k+1)! from the one generator `_terms`; a family only
+picks P and the offset, and log Gamma(1 + a) is zeta_1(1 + a) + log(2 pi)/2.
+`CoefficientQuery` makes a and lam exact once, the rationals every route
+reads.  The "-1" is an exact offset added to the exact sum of the series,
+rounded with it once; traces show the series itself and error estimates
+describe only the series.
 
 Each q_k is kept as its floor at prec + 64 bits, (man, exp) with
 man = [q_k 2^-exp] and 2^(prec+63) <= |man| <= 2^(prec+64), shared by every
@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import fnone, fzero, mpf_mul_int, to_rational
+from mpmath.libmp import fzero, mpf_mul_int, to_rational
 
 from .exact import (
     _APPELL_LAMBDAS,
@@ -72,7 +72,6 @@ from .summation import (
     SemiConvergentResult,
     _check_int,
     _rounded,
-    eval_polynomial,
     sum_semiconvergent,
     to_mpf,
     working_precision,
@@ -109,18 +108,25 @@ def fraction_from_mpf(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
-def _check_real(name: str, x) -> None:
-    """Raise ValueError unless x is a finite real number (bool excluded)."""
-    if isinstance(x, bool) or not (isinstance(x, (int, Fraction)) or (  # exact, so finite
-            isinstance(x, numbers.Real) or hasattr(x, "_mpf_")) and mpmath.isfinite(x)):
+def _exact(name: str, x, digits: int):
+    """x as the exact rational every route computes with: an int or a
+    Fraction as given, any other finite real rounded once at `digits`.
+    Raise ValueError for anything else, a bool included."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, bool) or not (
+            (isinstance(x, numbers.Real) or hasattr(x, "_mpf_")) and mpmath.isfinite(x)):
         raise ValueError(f"{name} must be a finite real number, got {x!r}")
+    with working_precision(digits):
+        return fraction_from_mpf(x)
 
 
 class CoefficientQuery(namedtuple("CoefficientQuery", "family n a lam digits max_terms trace",
                                   defaults=(1, None, DEFAULT_DIGITS, DEFAULT_MAX_TERMS, False))):
     """One coefficient request: which family, which Taylor index n, the
     shift a > 0, lam (Lerch only, |lam| <= 1, lam != 1), the working
-    precision in decimal digits, and the summation budget."""
+    precision in decimal digits, and the summation budget.  a and lam are
+    held, and checked, as the exact rationals every route computes with."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
@@ -132,9 +138,10 @@ class CoefficientQuery(namedtuple("CoefficientQuery", "family n a lam digits max
         _check_int("coefficient index n", self.n, 0)
         _check_int("digits", self.digits, 15)
         _check_int("max_terms", self.max_terms, 2)
-        _check_real("shift a", self.a)
-        if self.lam is not None:
-            _check_real("lambda", self.lam)
+        a = _exact("shift a", self.a, self.digits)
+        lam = None if self.lam is None else _exact("lambda", self.lam, self.digits)
+        if a is not self.a or lam is not self.lam:
+            self = super().__new__(cls, self.family, self.n, a, lam, *self[4:])
         if not self.a > 0:
             raise ValueError("shift a must be positive")
         if self.family == "riemann" and self.a != 1:
@@ -154,17 +161,16 @@ class CoefficientQuery(namedtuple("CoefficientQuery", "family n a lam digits max
 
 
 class CoefficientResult(NamedTuple):
-    """A computed coefficient: the raw series outcome plus the exact offset.
+    """A computed coefficient: the raw series outcome and the coefficient.
 
-    `value` is the coefficient itself (offset + series value) and
-    `derivative_value` = n! * value is the corresponding s-derivative of
-    the function at s = 0.  `series.trace`, when requested, lists the
-    series terms verbatim, without the offset.
+    `value` is the coefficient itself: the exact series sum, plus -1 for
+    Hurwitz, rounded once.  `derivative_value` = n! * value is the
+    corresponding s-derivative of the function at s = 0.  `series.trace`,
+    when requested, lists the series terms verbatim, without the -1.
     """
 
     query: CoefficientQuery
     series: SemiConvergentResult
-    offset: mpf
     value: mpf
     derivative_value: mpf
 
@@ -261,18 +267,17 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
     n = query.n
     with working_precision(query.digits):
         prec, rnd = mp._prec_rounding
-        lam = fraction_from_mpf(query.lam) if query.family == "lerch" else None
         series = sum_semiconvergent(
-            _terms(n, fraction_from_mpf(query.a) - 1, lam),
+            _terms(n, query.a - 1, query.lam),
             start=n, max_terms=query.max_terms, trace=query.trace,
         )
-        if lam is None:  # -1 joins the exact sum, rounded once; its scale is below 1
-            ((man, exp), *far), offset = series._sum, mp.make_mpf(fnone)
+        if query.lam is None:  # -1 joins the exact sum, rounded once; its scale is below 1
+            (man, exp), *far = series._sum
             value = mp.make_mpf(_rounded([(man - (1 << -exp), exp), *far], prec, rnd))
         else:
-            offset, value = mp.make_mpf(fzero), series.value
+            value = series.value
         derivative = mp.make_mpf(mpf_mul_int(value._mpf_, factorial(n), prec, rnd))
-        return CoefficientResult(query, series, offset, value, derivative)
+        return CoefficientResult(query, series, value, derivative)
 
 
 def hurwitz_coefficient(
@@ -328,25 +333,23 @@ def log_gamma_series(
     max_terms: int = DEFAULT_MAX_TERMS,
     trace: bool = False,
 ) -> SemiConvergentResult:
-    """log Gamma(1 + a) from the semi-convergent representation
+    """log Gamma(1 + a) by Lerch's formula (DLMF 25.11.18), the n = 1
+    Hurwitz coefficient at 1 + a (a rounded once at `digits`) plus log(2 pi)/2:
 
         log Gamma(1+a) = log(2 pi)/2 - 1 + sum_{k>=1} (-1)^(k+1) B_{k+1}(a) / (k(k+1)).
 
-    The constant prefix is applied to `value` outside the summation; the
-    trace holds the bare series terms.  Useful accuracy is limited by the
-    minimal term (about 1e-3 for small a); callers compare against an
+    The trace, estimate, index and stop reason are those of zeta_1(1 + a);
+    the trace holds the bare series terms.  Useful accuracy is limited by
+    the minimal term (about 1e-3 for small a); callers compare against an
     accurate log-gamma within the reported estimate.
     """
-    _check_real("a", a)
+    _check_int("digits", digits, 15)
+    a = _exact("a", a, digits)
     if not a >= 0:
         raise ValueError("a must be non-negative")
-    _check_int("digits", digits, 15)
+    res = compute_coefficient(CoefficientQuery("hurwitz", 1, a + 1, None, digits, max_terms, trace))
     with working_precision(digits):
-        series = sum_semiconvergent(
-            _terms(1, fraction_from_mpf(a), None),
-            start=1, max_terms=max_terms, trace=trace,
-        )
-        return series._replace(value=mpmath.log(2 * mpmath.pi) / 2 - 1 + series.value)
+        return res.series._replace(value=mpmath.log(2 * mpmath.pi) / 2 + res.value)
 
 
 def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
@@ -373,13 +376,10 @@ def etf_check(poly_coeffs, x, K: int = 120, *, digits: int = DEFAULT_DIGITS):
                 Df = Df * k + c
             lhs += to_mpf(Fraction(Df, D)) * weight
             weight = weight * xv / (k + 1)
-        rhs = mpf(0)
-        for m, am in enumerate(coeffs):
-            if am == 0:
-                continue
-            rhs += to_mpf(am) * eval_polynomial(exp_polynomial_coeffs(m), xv)
-        rhs *= mpmath.exp(xv)
-        return lhs, rhs
+        xq = fraction_from_mpf(xv)  # the polynomial side, exact at the rounded x
+        f = sum(am * sum(c * xq**j for j, c in enumerate(exp_polynomial_coeffs(m)))
+                for m, am in enumerate(coeffs))
+        return lhs, to_mpf(f) * mpmath.exp(xv)
 
 
 def system_residual(
@@ -409,18 +409,14 @@ def system_residual(
     if family not in ("hurwitz", "lerch"):
         raise ValueError("system_residual supports the hurwitz and lerch families")
 
-    def coeff(n: int) -> CoefficientResult:
-        lam_n = lam if family == "lerch" else None
-        return compute_coefficient(CoefficientQuery(family, n, a, lam_n, digits, max_terms))
-
-    first = coeff(k)  # the query checks digits and max_terms
+    lam = lam if family == "lerch" else None
+    first = compute_coefficient(CoefficientQuery(family, k, a, lam, digits, max_terms))
     with working_precision(digits):
         top = N if N is not None else max(k, first.series.truncation_index)
         lhs = mpf(0)
         for n in range(k, top + 1):
-            res = first if n == k else coeff(n)
+            res = first if n == k else compute_coefficient(first.query._replace(n=n))
             lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * res.series.value)
-        lamf = fraction_from_mpf(lam) if family == "lerch" else None
         # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!
-        rhs = (-1) ** k * next(_terms(k, fraction_from_mpf(a) - 1, lamf))
+        rhs = (-1) ** k * next(_terms(k, first.query.a - 1, first.query.lam))
         return lhs - rhs

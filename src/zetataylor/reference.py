@@ -48,7 +48,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_log,
                           mpf_lt, mpf_mul, mpf_neg, mpf_sub)
 
-from .coefficients import CoefficientQuery, _check_real
+from .coefficients import CoefficientQuery, _exact
 from .exact import bernoulli_number, kept
 from .summation import _check_int, to_mpf, working_precision
 
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _GUARD_DPS = 10
+_LERCH_TERMS = 300_000  # the most terms of a direct Lerch sum; lam = 999/1000 needs 257,761 at 100 digits
 
 
 class OracleConfig(namedtuple("OracleConfig", "em_cutoff em_order contour_radius contour_points",
@@ -114,12 +115,11 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
     terminate and the value is exact up to rounding.
     """
     _check_int("digits", digits, 15)
-    _check_real("shift a", a)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
     with working_precision(digits + _GUARD_DPS):
         s = mpmath.mpmathify(s)
-        av = to_mpf(a)
+        av = to_mpf(_exact("shift a", a, digits + _GUARD_DPS))
         if not av > 0:
             raise ValueError("a must be positive")
         if s == 1:
@@ -141,18 +141,23 @@ def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> 
         return total
 
 
+def _decaying(lam) -> mpf:
+    """lam at working precision, refused unless |lam|^m, which a direct
+    Lerch sum must bring below 10^-(dps+2), gets there by m = _LERCH_TERMS."""
+    lamv = to_mpf(lam)
+    if -mpmath.log(abs(lamv)) * _LERCH_TERMS < (mp.dps + 2) * mpmath.ln10:
+        raise ValueError(f"lambda={lam}: a direct Lerch sum needs |lambda| < 1 and <= {_LERCH_TERMS} terms")
+    return lamv
+
+
 def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
     """Phi(lam, s, a) = sum_n lam^n (n+a)^-s by direct summation,
     for real |lam| < 1 strictly (a > 0, any complex s)."""
     _check_int("digits", digits, 15)
-    _check_real("lambda", lam)
-    _check_real("shift a", a)
     with working_precision(digits + _GUARD_DPS):
-        lamv = to_mpf(lam)
-        if not abs(lamv) < 1:
-            raise ValueError("direct summation requires |lambda| < 1")
+        lamv = _decaying(_exact("lambda", lam, digits + _GUARD_DPS))
         s = mpmath.mpmathify(s)
-        av = to_mpf(a)
+        av = to_mpf(_exact("shift a", a, digits + _GUARD_DPS))
         if not av > 0:
             raise ValueError("a must be positive")
         sigma = -mpmath.re(s)  # power-factor growth exponent, if positive
@@ -294,11 +299,11 @@ def taylor_coefficients(
     zeta(s, (a+1)/2)].  Each error estimate is the truncation bound (first
     omitted correction or tail) plus the floor 10^-(digits+2) (1 + |c_n|).
     """
-    CoefficientQuery(family, n_max, a, lam, digits)
+    q = CoefficientQuery(family, n_max, a, lam, digits)
     with working_precision(digits + _GUARD_DPS):
-        jet = kept(_jets, (family, a, lam, digits), _JETS, list)
+        jet = kept(_jets, (family, q.a, q.lam, digits), _JETS, list)
         if len(jet) <= n_max:
-            jet[:] = _jet(family, n_max, a, lam, digits)
+            jet[:] = _jet(family, n_max, q.a, q.lam, digits)
         return jet[: n_max + 1]
 
 
@@ -315,7 +320,7 @@ def _jet(family: str, n_max: int, a, lam, digits: int) -> list[OracleValue]:
         bounds = _times([abs(t) for t in two],
                         [u + v for u, v in zip(upper_bound, lower_bound)])
     else:
-        values, bounds = _lerch_jet(n_max, to_mpf(lam), av)
+        values, bounds = _lerch_jet(n_max, _decaying(lam), av)
     unit = mpf(10) ** (-(digits + 2))
     return [OracleValue(v, b + unit * (1 + abs(v))) for v, b in zip(values, bounds)]
 
@@ -339,7 +344,7 @@ def taylor_coefficients_contour(
     symmetry halves the work) and reads every n off them.  Each error
     estimate is the change from M to 2M nodes, plus a rounding floor.
     """
-    CoefficientQuery(family, n_max, a, lam, digits)
+    q = CoefficientQuery(family, n_max, a, lam, digits)
     if cfg is None:
         cfg = OracleConfig.for_digits(digits)
     M = cfg.contour_points
@@ -350,9 +355,9 @@ def taylor_coefficients_contour(
         for j in range(M + 1):
             node = r * mpmath.expjpi(mpf(2 * j) / two_m)
             if family == "lerch":
-                upper.append(lerch_phi(lam, node, a, digits=digits))
+                upper.append(lerch_phi(q.lam, node, q.a, digits=digits))
             else:
-                upper.append(hurwitz_zeta(node, a, cfg, digits=digits))
+                upper.append(hurwitz_zeta(node, q.a, cfg, digits=digits))
         values = upper + [mpmath.conj(upper[two_m - j]) for j in range(M + 1, two_m)]
         out = []
         for n in range(n_max + 1):

@@ -2,9 +2,10 @@
 semi-convergent (asymptotic) series.
 
 The number type throughout is mpmath's mpf at the caller's working
-precision (`mpmath.mp.dps`, in decimal digits).  A Fraction is converted
-once, at the summation boundary, correctly rounded; ints and mpf values
-are dyadic and summed as they are.
+precision (`mpmath.mp.dps`, in decimal digits).  `to_mpf` rounds a
+Fraction once, correctly; ints and mpf values are dyadic and summed as
+they are.  The inputs a and lam of the coefficient series are made exact
+once, by `coefficients.CoefficientQuery`, not here.
 
 A semi-convergent series is divergent, but its partial sums first approach
 the target value; the usable accuracy is set by the smallest-magnitude
@@ -51,12 +52,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_mul,
-                          mpf_pow_int, round_nearest)
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_pow_int, round_nearest
 
 from .exact import LOCK
 
@@ -65,7 +65,6 @@ __all__ = [
     "SemiConvergentResult",
     "NonFiniteTermError",
     "sum_semiconvergent",
-    "eval_polynomial",
     "to_mpf",
 ]
 
@@ -103,19 +102,6 @@ def to_mpf(x) -> mpf:
     if isinstance(x, Fraction):
         return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     return +mpmath.mpmathify(x)
-
-
-def eval_polynomial(coeffs: Sequence, x) -> mpf:
-    """Horner evaluation at working precision of a polynomial given by
-    ascending coefficients (exact coefficients are converted at full
-    precision), rounded as `acc * x + c` but on raw mpf values. Empty
-    coefficient list evaluates to 0."""
-    xv = to_mpf(x)._mpf_
-    prec, rnd = mp._prec_rounding
-    acc = fzero
-    for c in reversed(coeffs):
-        acc = mpf_add(mpf_mul(acc, xv, prec, rnd), to_mpf(c)._mpf_, prec, rnd)
-    return mp.make_mpf(acc)
 
 
 class TraceRecord(NamedTuple):

@@ -1,11 +1,12 @@
 """Acceptance gates: every self-check of `verification.SUITES` at 50
 digits, one test id per check (`pytest -k oracle/contour_vs_jet`), a
-guard that the registry holds every check once, and byte-identical CLI
-output.
+guard that the registry holds every check once, byte-identical CLI
+output, and the demos' pinned output.
 """
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 import time
@@ -95,3 +96,23 @@ def test_criterion_10_cli_determinism():
     assert runs[0].stdout == runs[1].stdout
     assert digests[0] == digests[1]
     print(f"PASS criterion 10: byte-identical verify output, sha256 {digests[0][:16]}...")
+
+
+# One sha256 over the (exit code, stdout) of every demo, each run in a fresh
+# process; `derive_pins.py` re-derives it and lists the demos that moved.
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_PIN = "913a825f5195c020284ea66fd3b6036b9668577dc699118eda6d169c2bdb3d91"
+
+
+def demo_outputs(src) -> list:
+    """(exit code, stdout) of each demo, run with `src` on the path."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = [subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+            for demo in DEMOS]
+    return [(proc.returncode, proc.stdout) for proc in runs]
+
+
+def test_demos_print_the_pinned_bytes():
+    rows = demo_outputs(Path(verification.__file__).parents[1])
+    assert [code for code, _ in rows] == [0] * len(DEMOS) == [0, 0, 0]
+    assert sha256(repr(rows).encode()).hexdigest() == DEMO_PIN

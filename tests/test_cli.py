@@ -326,6 +326,19 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout.strip())["value"] == "-1.5"
 
 
+def test_verify_refuses_a_lambda_that_rounds_to_one_at_once():
+    # the reference rounds lambda at digits + 10 working digits, here to 1,
+    # where a direct Lerch sum never ends: a domain error, in a child with a
+    # timeout, so that a regression fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetataylor", "coeff", "--family", "lerch", "--a", "1",
+         "--lambda", "0." + "9" * 60, "--n", "0", "--digits", "30", "--verify"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"lambda={'9' * 60}/1{'0' * 60}: a direct Lerch sum needs" in proc.stderr
+
+
 def test_coeff_without_verify_loads_neither_dataclasses_nor_the_self_checks(tmp_path):
     # a cold coeff pays only for what it prints: no dataclass on any import
     # path, and the verification registry only for verify
@@ -399,7 +412,7 @@ def test_verify_session_in_one_process_prints_fresh_process_bytes(capsys):
 # One sha256 pins the bytes of a fixed grid of in-process commands: coeff
 # as JSON, as a table and under --verify at 30 and 50 digits for seven
 # functions, five traces (their output is the CSV) and two verify suites.
-# `derive_cli_pin.py` re-derives the digest and lists the commands whose
+# `derive_pins.py` re-derives the digest and lists the commands whose
 # bytes moved.
 PIN_FUNCTIONS = [
     ["--family=riemann"],

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -33,7 +35,7 @@ from zetataylor.reference import (
     taylor_coefficients,
     taylor_coefficients_contour,
 )
-from zetataylor.summation import eval_polynomial, sum_semiconvergent, to_mpf
+from zetataylor.summation import sum_semiconvergent, to_mpf
 
 # frozen from independent 58-digit evaluations
 HALF_LOG_2PI = "0.9189385332046727417803297364056176398613974736377834128"
@@ -129,6 +131,23 @@ def test_replaced_and_made_queries_are_checked():
             query._replace(**fields)
     with pytest.raises(ValueError):
         CoefficientQuery._make(("hurwitz", 0, 0))
+
+
+def test_query_holds_the_exact_rationals_the_series_computes_with():
+    # an int or a Fraction as given; a float or an mpf rounded once at the
+    # query's digits and held as its exact dyadic value
+    q = CoefficientQuery("lerch", 1, a=0.3, lam=-1)
+    assert (q.a, type(q.a), q.lam, type(q.lam)) == (Fraction(0.3), Fraction, -1, int)
+    with workdps(60):
+        third = mpf(1) / 3
+    with workdps(30):
+        rounded = Fraction(*to_rational((+third)._mpf_))
+    q = CoefficientQuery("hurwitz", 1, a=third, digits=30)
+    assert q.a == rounded != Fraction(*to_rational(third._mpf_))
+    assert CoefficientQuery("hurwitz", 1, a=third, digits=50).a != rounded
+    assert q._replace(digits=50).a == rounded  # already exact, so kept
+    with pytest.raises(ValueError, match="positive"):
+        q._replace(a=-third)
 
 
 def test_query_accepts_float_and_mpf_constants():
@@ -295,14 +314,15 @@ def test_log_gamma_series_negative_argument_rejected():
 
 
 def test_log_gamma_series_consistent_with_shifted_coefficient():
-    # same series feeds both paths: value - log(2 pi)/2 = zeta_1(a + 1)
-    for a in (Fraction(1, 2), Fraction(1)):
-        g = log_gamma_series(a)
-        h = hurwitz_coefficient(1, a + 1)
-        with workdps(50):
-            lhs = g.value - mpmath.log(2 * mpmath.pi) / 2
-        assert abs(lhs - h.value) <= mpf("1e-48")
-        assert g.truncation_index == h.series.truncation_index
+    # Lerch's formula: log Gamma(1 + a) = zeta_1(1 + a) + log(2 pi)/2, the
+    # one series at 1 + a, with a rounded once and the -1 in the exact sum
+    for digits in (15, 30, 50, 100):
+        for a in (0, Fraction(1, 10), Fraction(1, 2), 0.3, Fraction(7, 3)):
+            g = log_gamma_series(a, digits=digits, trace=True)
+            h = hurwitz_coefficient(1, Fraction(a) + 1, digits=digits, trace=True)
+            assert g._replace(value=None) == h.series._replace(value=None), (digits, a)
+            with workdps(digits):
+                assert g.value == mpmath.log(2 * mpmath.pi) / 2 + h.value, (digits, a)
 
 
 # ---------------------------- lerch family ----------------------------
@@ -328,6 +348,38 @@ def test_lerch_rejects_lambda_one_and_large_lambda():
         lerch_coefficient(0, 1, None)
 
 
+# a lambda that the query rounds to 1, and one whose direct sum is too long
+_NEAR_ONE = """
+from fractions import Fraction
+import mpmath
+from zetataylor import reference
+mpmath.mp.prec = 400
+slow = Fraction(10**7 - 1, 10**7)
+for call in (lambda: reference.taylor_coefficients("lerch", 0, 1, 1 - mpmath.mpf(2) ** -300, digits=30),
+             lambda: reference.taylor_coefficients("lerch", 0, 1, slow, digits=15),
+             lambda: reference.lerch_phi(slow, 0, 1, digits=15)):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_lambda_near_one_is_refused_at_once_on_both_routes():
+    # lambda = 1 - 2^-300 passes a check of the value as given, but the
+    # series and the reference would compute at lambda = 1; the reference
+    # runs in a child with a timeout, since a regression there hangs
+    with mpmath.workprec(400):
+        lam = 1 - mpf(2) ** -300
+    with pytest.raises(ValueError, match="lambda=1 is the hurwitz case"):
+        lerch_coefficient(0, 1, lam, digits=30)
+    proc = subprocess.run([sys.executable, "-c", _NEAR_ONE], capture_output=True, text=True,
+                          timeout=10)
+    slow = "lambda=9999999/10000000: a direct Lerch sum needs |lambda| < 1 and <= 300000 terms"
+    assert proc.stdout.splitlines() == [
+        "lambda=1 is the hurwitz case; use family=hurwitz", slow, slow], proc.stderr
+
+
 def test_lerch_half_lambda_series_diverges_immediately():
     # at lambda = 1/2 the term magnitudes grow from the start; the engine
     # honestly reports the max_terms outcome with a matching estimate
@@ -348,15 +400,17 @@ def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
 
 
 def test_series_vs_jet_names_the_point_a_shifted_jet_value_misses(monkeypatch):
-    def shifted(family, n_max, a, lam=None, **kw):
-        jet = taylor_coefficients(family, n_max, a, lam, **kw)
-        if (family, a) == ("hurwitz", Fraction(3, 2)):
-            jet[2] = jet[2]._replace(value=jet[2].value + 1)
-        return jet
+    for point in (("hurwitz", Fraction(3, 2), 2), ("lerch", 1, 3)):
+        def shifted(family, n_max, a, lam=None, *, point=point, **kw):
+            jet = taylor_coefficients(family, n_max, a, lam, **kw)
+            if (family, a) == point[:2]:
+                n = point[2]
+                jet[n] = jet[n]._replace(value=jet[n].value + 1)
+            return jet
 
-    monkeypatch.setattr(verification.reference, "taylor_coefficients", shifted)
-    assert verification.check_series_vs_jet(30) == (
-        False, "series misses the reference at hurwitz a=3/2 n=2 (delta)")
+        monkeypatch.setattr(verification.reference, "taylor_coefficients", shifted)
+        assert verification.check_series_vs_jet(30) == (
+            False, "series misses the reference at {} a={} n={} (delta)".format(*point))
 
 
 def test_series_vs_jet_names_an_n1_estimate_above_its_cap(monkeypatch):
@@ -447,9 +501,10 @@ def test_etf_constant_and_linear_at_one():
 
 
 def test_etf_square_at_half():
+    # f(x) = x^2 has the exponential polynomial x + x^2, 3/4 at x = 1/2
     lhs, rhs = etf_check([0, 0, 1], Fraction(1, 2), K=80)
     with workdps(50):
-        want = mpmath.exp(mpf(0.5)) * eval_polynomial(exp_polynomial_coeffs(2), mpf(0.5))
+        want = mpmath.exp(mpf(0.5)) * 3 / 4
     assert abs(rhs - want) <= mpf("1e-45")
     assert abs(lhs - rhs) <= mpf("1e-25")
 
@@ -508,10 +563,11 @@ def test_mpf_inputs_give_the_bits_of_their_working_precision_fraction(digits):
 # Bits of every run n = 0..6: per (family, a, lam, digits), the first 16
 # hex digits of the sha256 of repr([(value._mpf_, error_estimate._mpf_,
 # truncation_index, terminated_by), ...]) with the mpf fields as int tuples.
-# derive_value_table_repin.py printed them when the engine began to sum
-# integer floors of q_k exactly and round once: it checks against the older
-# tree that no truncation index or reason moved and that no value moved by
-# more than 1e-25 of its estimate (the largest move was 1.9e-31).
+# They were re-pinned when the engine began to sum integer floors of q_k
+# exactly and round once (no truncation index or reason moved, and the
+# largest value move was 1.9e-31 of its estimate).  derive_pins.py
+# re-derives them against an older tree and asserts that no truncation
+# index or reason moved.
 BITS_A = {"1": 1, "7/5": Fraction(7, 5), "mpf0.8": mpf(0.8)}
 BITS_LAM = {None: None, "-1": Fraction(-1), "-5/6": Fraction(-5, 6), "1/3": Fraction(1, 3),
             "mpf-0.41": mpf(-0.41), "mpf0.73": mpf(0.73)}
@@ -700,7 +756,7 @@ def test_only_wide_inputs_take_the_fixed_point_path():
 # the three families, a p/q and an mpf shift, lambda in {-1, a negative and
 # a positive p/q, a negative and a positive mpf}, 30, 50 and 100 digits and
 # n <= 6.  CLI_PIN covers no mpf lambda and no 100-digit call.
-# derive_value_pin.py re-derives it against an older tree.
+# derive_pins.py re-derives it against an older tree.
 PIN_SHIFTS = (Fraction(5, 7), mpf(2.3))
 PIN_LAMBDAS = (Fraction(-1), Fraction(-2, 7), Fraction(3, 4), mpf(-0.41), mpf(0.73))
 PIN_CALLS = [("riemann", 1, None)] + [("hurwitz", a, None) for a in PIN_SHIFTS] + [

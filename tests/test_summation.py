@@ -17,7 +17,6 @@ from zetataylor import summation
 from zetataylor.exact import bernoulli_polynomial, stirling1
 from zetataylor.summation import (
     NonFiniteTermError,
-    eval_polynomial,
     sum_semiconvergent,
     to_mpf,
 )
@@ -258,34 +257,12 @@ def test_trace_telescopes_and_value_matches(vals):
     assert res.terminated_by in ("minimal_term", "converged", "max_terms")
 
 
-def test_eval_polynomial_examples():
-    assert eval_polynomial([Fraction(-1, 2), Fraction(1)], mpf(1)) == mpf(0.5)
-    assert eval_polynomial([], mpf(3)) == 0
-    assert eval_polynomial((0, 1, 3, 1), mpf(1)) == mpf(5)
-
-
 def test_to_mpf_faithful_rounding():
     with mpmath.workdps(30):
         got = to_mpf(Fraction(1, 3))
     with mpmath.workdps(80):
         want = mpmath.mpf(1) / 3
         assert abs(got - want) <= abs(got) * mpf(10) ** (-29)
-
-
-def _mpf_object_route(coeffs, x):
-    """eval_polynomial written with mpf objects: each exact coefficient
-    converted by one correctly rounded division of exact mpf values."""
-    def conv(c):
-        if isinstance(c, mpf):
-            return +c
-        c = Fraction(c)
-        with mpmath.workprec(max(c.numerator.bit_length(), c.denominator.bit_length()) + 1):
-            p, q = mpmath.mpf(c.numerator), mpmath.mpf(c.denominator)
-        return mpmath.fdiv(p, q)
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * conv(x) + conv(c)
-    return acc
 
 
 def _assert_nearest_even(got, c, prec):
@@ -333,10 +310,6 @@ def test_integer_conversion_rounds_as_mpmath_does():
             assert len(cs) > len(wide) + 6
             for c in cs:
                 _assert_nearest_even(to_mpf(c), c, mpmath.mp.prec)
-            x = mpf(0.8507938431825506)
-            for m in (0, 1, 5, 40):
-                row = [c * 3**p for p, c in enumerate(cs[m:m + m + 1])]
-                assert eval_polynomial(row, x)._mpf_ == _mpf_object_route(row, x)._mpf_
 
 
 def parent_rule_cut(records, threshold):
