@@ -28,21 +28,21 @@ rounded with it once; traces show the series itself and error estimates
 describe only the series.
 
 Each q_k is kept as its floor at prec + 64 bits, (man, exp) with
-man = [q_k 2^-exp] and 2^(prec+63) <= |man| <= 2^(prec+64), shared by every
-n through a value table of at most 16 lists, keyed (x, lam, precision),
-least recently used out; a term is the integer weight times that floor,
-exactly, so a value is within the bound `summation` states.  A list keeps
-its family's Appell integers and d, fetched again only when it outgrows
-them.  The tables and every entry point's precision are held under
+man = [q_k 2^-exp] and 2^(prec+63) <= |man| <= 2^(prec+64), shared by every n
+through a value table of at most 16 lists, keyed (x, lam, precision), least
+recently used out; a term is the int pair (+-s1(k, n) man, exp), the weight
+times that floor exactly, so a value is within the bound `summation` states.
+A list keeps its family's Appell integers and d, fetched again only when it
+outgrows them.  The tables and every entry point's precision are held under
 `exact.LOCK`.  A narrow input's floor is one integer division of its exact
-ratio.  A wide one (x's denominator and lam's p - q over 24 bits together,
-as for an mpf) grows its list in fixed point, W = prec + 64 + 320 bits:
-with the floors B_j = [2^W b_j / j!], one row per (lam, W) shared by every
-list (at most 8, least recently used out), and X_i = [2^W x^i / i!], one
-row per list, S_m = sum_j B_j X_(m-j) is within E_m = sum_(j<=m) (|B_j| +
-|X_j| + 1) of 2^(2W) P_m(x) / m!.  Where S_m - E_m and S_m + E_m have the
-same floor, so has q_(m-1) (Ziv's test); only where they differ, an exact
-zero always, does the exact route run, and both routes give one floor.
+ratio.  A wide one (x's denominator and lam's p - q over 24 bits together, as
+for an mpf) grows its list in fixed point, W = prec + 64 + 320 bits: with the
+floors B_j = [2^W b_j / j!], one row per (lam, W) shared by every list (at
+most 8, least recently used out), and X_i = [2^W x^i / i!], one row per list,
+S_m = sum_j B_j X_(m-j) is within E_m = sum_(j<=m) (|B_j| + |X_j| + 1) of
+2^(2W) P_m(x) / m!.  Where S_m - E_m and S_m + E_m have the same floor, so has
+q_(m-1) (Ziv's test); only where they differ, an exact zero always, does the
+exact route run, and both routes give one floor.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ from __future__ import annotations
 import numbers
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
+from itertools import count
 from math import factorial, lcm
 from typing import Iterator, NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_mul_int, to_rational
+from mpmath.libmp import to_rational
 
 from .exact import (
     _APPELL_LAMBDAS,
@@ -233,12 +234,12 @@ def _grow(state: list, top: int, x: Fraction, lam, prec: int) -> None:
         values.append(value)
 
 
-def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
+def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[tuple[int, int]]:
     """Series terms (-1)^(k+1) s1(k, n) q_k for k = n, n+1, ..., with
     q_k = P_(k+1)(x) / (k+1)! its floor at prec + 64 bits, where P is the
     Bernoulli family (lam None) or the Apostol-Bernoulli family of lam.
-    Each term is that product exactly, an mpf of any width."""
-    prec, make = mp.prec, mp.make_mpf
+    Each term is that product exactly, the int pair (man, exp) of man 2^exp."""
+    prec = mp.prec
     d = None if lam is None else lam.numerator - lam.denominator
     wide, W = x.denominator.bit_length() + abs(d or 0).bit_length() > _WIDE, prec + 64 + _GUARD
     key = x.as_integer_ratio(), None if lam is None else lam.as_integer_ratio(), prec  # ints hash fast
@@ -246,20 +247,13 @@ def _terms(n: int, x: Fraction, lam: Fraction | None) -> Iterator[mpf]:
         state = kept(_values, key, _VALUE_LISTS, lambda: [[], [], d, [
             W, [1 << W], [0, 1 << W], kept(_b_rows, (lam, W), _APPELL_LAMBDAS, lambda: [[], [0]]),
             1, 1] if wide else None])
-    values, k = state[0], n
-    while True:
+    values = state[0]
+    for k in count(n):
         if k >= len(values):
             with LOCK:
                 _grow(state, k + 1, x, lam, prec)
         man, exp = values[k]
-        man *= _stirling1_rows[k][n] if k % 2 else -_stirling1_rows[k][n]
-        if man:
-            z = (man & -man).bit_length() - 1  # odd, as from_man_exp makes it, in a third of its time
-            odd = (-man if man < 0 else man) >> z
-            yield make((1 if man < 0 else 0, odd, exp + z, odd.bit_length()))
-        else:
-            yield make(fzero)
-        k += 1
+        yield (man if k % 2 else -man) * _stirling1_rows[k][n], exp
 
 
 def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
@@ -276,8 +270,7 @@ def compute_coefficient(query: CoefficientQuery) -> CoefficientResult:
             value = mp.make_mpf(_rounded([(man - (1 << -exp), exp), *far], prec, rnd))
         else:
             value = series.value
-        derivative = mp.make_mpf(mpf_mul_int(value._mpf_, factorial(n), prec, rnd))
-        return CoefficientResult(query, series, value, derivative)
+        return CoefficientResult(query, series, value, value * factorial(n))
 
 
 def hurwitz_coefficient(
@@ -417,6 +410,6 @@ def system_residual(
         for n in range(k, top + 1):
             res = first if n == k else compute_coefficient(first.query._replace(n=n))
             lhs += to_mpf(stirling2(n, k)) * ((-1) ** n * res.series.value)
-        # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!
-        rhs = (-1) ** k * next(_terms(k, first.query.a - 1, first.query.lam))
-        return lhs - rhs
+        # the first term of the n = k series is (-1)^(k+1) P_{k+1} / (k+1)!, rounded once
+        man, exp = next(_terms(k, first.query.a - 1, first.query.lam))
+        return lhs - to_mpf(mpmath.ldexp((-1) ** k * man, exp))

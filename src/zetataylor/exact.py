@@ -1,9 +1,9 @@
 """Exact big-rational combinatorics.
 
 Everything in this module is computed in exact arithmetic: Stirling numbers
-of both kinds and the Appell numbers (scaled by a known denominator) are
-Python ints, all other quantities are `fractions.Fraction` values (always
-canonical, denominator > 0).  The Bernoulli convention is B1 = -1/2.
+of both kinds and the Appell numbers (scaled by a known denominator, both
+families grown by one Horner loop) are Python ints, all other quantities are
+`fractions.Fraction` values (canonical, denominator > 0).  B1 = -1/2.
 
 Rational arguments only; every mpf is a dyadic rational, so callers pass
 its exact value.
@@ -106,13 +106,14 @@ def exp_polynomial_coeffs(n: int) -> tuple[int, ...]:
 # defined by z*e^(x*z) / (lam*e^z - 1) = sum_m beta_m(x, lam) z^m / m!, are
 # both Appell sequences, P_m(x) = sum_p C(m, p) b_(m-p) x^p, fixed by the
 # numbers b_j = P_j(0).  Each family keeps them as integers N_j = b_j * D_j.
-# Bernoulli (keyed None): b_j = B_j, D_j = (j+1)!, and sum_{j<=m} C(m+1, j)
-# B_j = 0 gives N_m = -sum_{j<m} C(m+1, j) N_j m!/(j+1)!.  For lam = p/q != 1
-# in lowest terms, matching coefficients of z^m/m! in the generating function
-# times (lam*e^z - 1) gives (lam - 1)*b_m + lam * sum_{j<m} C(m, j)*b_j = [m = 1],
-# so with d = p - q and D_j = d^j,
+# Bernoulli (keyed None): b_j = B_j, D_j = (j+1)! and sum_{j<=m} C(m+1, j) B_j = 0.
+# For lam = p/q != 1 in lowest terms, matching coefficients of z^m/m! in the
+# generating function times (lam*e^z - 1) gives (lam - 1)*b_m + lam *
+# sum_{j<m} C(m, j)*b_j = [m = 1], and D_j = d^j with d = p - q.  So both are
 #
-#   N_m = [m = 1]*q - p * sum_{1<=j<m} C(m, j) N_j d^(m-1-j),
+#   acc = sum_{j<m} C(m + [Bernoulli], j) N_j D_(m-1)/D_j,  N_m = -acc (Bernoulli)
+#   or [m = 1]*q - p*acc (Apostol), with acc one Horner loop over j < m,
+#   acc = acc * r_j + C N_j, r_j = D_j/D_(j-1): j + 1 for Bernoulli, d for Apostol.
 #
 # N_0 = 0 and Apostol row m has length m (row 0 is (0,)).  The Bernoulli
 # integers are one list that stays; at most _APPELL_LAMBDAS Apostol families
@@ -137,13 +138,10 @@ def _numbers(n: int, lam: RationalLike | None) -> tuple[list[int], int | None]:
     with LOCK:
         numbers = _bernoulli if d is None else kept(_apostol, lam, _APPELL_LAMBDAS, lambda: [0])
         for m in range(len(numbers), n + 1):
-            if d is None:  # odd B_m vanish for m > 1
-                numbers.append(0 if m > 2 and m % 2 == 1 else -sum(
-                    comb(m + 1, j) * numbers[j] * (factorial(m) // factorial(j + 1))
-                    for j in range(m)))
-            else:
-                acc = sum(comb(m, j) * numbers[j] * d ** (m - 1 - j) for j in range(1, m))
-                numbers.append(int(m == 1) * q - p * acc)
+            acc = 0  # odd B_m vanish for m > 1: their loop is empty
+            for j in range(0 if d is None and m > 2 and m % 2 else m):
+                acc = acc * (j + 1 if d is None else d) + comb(m + (d is None), j) * numbers[j]
+            numbers.append(-acc if d is None else int(m == 1) * q - p * acc)
         return numbers, d
 
 

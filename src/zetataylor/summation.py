@@ -35,15 +35,16 @@ after the current minimum fixes it, and a new minimum clears it.  A tie is
 not a new minimum, so ties truncate at the earlier index, which keeps the
 error estimate conservative.
 
-The engine is exact: an int or an mpf of any width is taken as it is,
-anything else rounded once by `to_mpf`; the partial sum is an int at the
-scale of the smallest exponent seen, and every comparison is exact.  A
-term whose top bit is more than 2^16 bits from the threshold's is kept
-apart as it is, so the ints stay within 2^17 bits plus the terms' widths.
+The engine is exact: an int, an mpf of any width or an int pair (man, exp),
+man 2^exp, is taken as it is, anything else rounded once by `to_mpf`; the
+partial sum is an int at the scale of the smallest exponent seen, and every
+comparison is exact.  A term whose top bit is more than 2^16 bits from the
+threshold's is kept apart as it is, so the ints stay within 2^17 bits plus
+the terms' widths.
 The value, the estimate and a trace record's term and running sum are each
 rounded once, so a value is within half an ulp of the exact partial sum of
-its terms.  The coefficient series hand over s1(k, n) q_k with q_k a floor
-of prec + 64 bits, so their value is within half an ulp plus
+its terms.  The coefficient series hand over the pairs (s1(k, n) man, exp)
+of q_k's floor at prec + 64 bits, so their value is within half an ulp plus
 sum_k |s1(k, n) q_k| 2^-(prec+63) of the exact partial sum of the series.
 """
 
@@ -213,8 +214,9 @@ def sum_semiconvergent(
     """Sum an indexed series (term k = start, start+1, ...) with
     minimal-term truncation, as described in the module docstring.
 
-    `terms` may yield anything `to_mpf` accepts: an int or an mpf is taken
-    exactly, anything else (a Fraction, say) is rounded once by `to_mpf`.
+    `terms` may yield an int, an mpf or a pair (man, exp) of ints for man 2^exp,
+    each taken exactly, or anything else `to_mpf` accepts (a Fraction, say),
+    rounded once by `to_mpf`; any other tuple is a TypeError naming its index.
     The generator is consumed at most `max_terms` times and must be fresh
     (not shared between calls).
     """
@@ -237,12 +239,16 @@ def sum_semiconvergent(
     k = start - 1
     for raw in terms:
         k += 1
-        sign, man, exp, bc = (raw._mpf_ if isinstance(raw, mpf) else from_int(raw)
-                              if isinstance(raw, int) else to_mpf(raw)._mpf_)
-        if bc < 0:  # NaN and the infinities
-            raise NonFiniteTermError(k)
-        if sign:
-            man = -man
+        if not isinstance(raw, tuple):  # as the pair (man, exp) of its value man 2^exp
+            sign, man, exp, bc = (raw._mpf_ if isinstance(raw, mpf) else from_int(raw)
+                                  if isinstance(raw, int) else to_mpf(raw)._mpf_)
+            if bc < 0:  # NaN and the infinities
+                raise NonFiniteTermError(k)
+            raw = -man if sign else man, exp
+        elif len(raw) != 2 or type(raw[0]) is not int or type(raw[1]) is not int:
+            raise TypeError(f"term {k}: a tuple term is (man, exp), two ints; got {raw!r}")
+        man, exp = raw if raw[0] else (0, 0)  # a zero's exponent is 0, as mpmath's
+        bc = abs(man).bit_length()
         before, nfar = partial, len(far)
         if low < exp + bc <= high or not man:
             if exp < scale:  # zero's exponent is 0, never below the threshold's

@@ -164,13 +164,13 @@ def check_n0_closed_forms(digits):
 
 
 def check_n1_closed_forms(digits):
-    # zeta_1(1) = -log(2 pi)/2, and the log-gamma series vanishes at a = 0, 1
+    # zeta_1(1) = -log(2 pi)/2; log Gamma(1 + a) is log(pi)/2 - log 2 at a = 1/2, 0 at a = 1
     ok = True
     details = []
     with working_precision(digits):
         cases = [("riemann", coeffs.riemann_coefficient(1, digits=digits), -mpmath.log(2 * mpmath.pi) / 2)]
-        cases += [(f"loggamma a={a}", coeffs.log_gamma_series(a, digits=digits), 0)
-                  for a in (Fraction(0), Fraction(1))]
+        cases += [(f"loggamma a={a}", coeffs.log_gamma_series(a, digits=digits), want) for a, want in
+                  ((Fraction(1, 2), mpmath.log(mpmath.pi) / 2 - mpmath.log(2)), (Fraction(1), 0))]
         for name, res, want in cases:
             delta = abs(res.value - want)
             ok = ok and delta <= 2 * res.error_estimate

@@ -430,7 +430,7 @@ PIN_GRID = [
 PIN_GRID += [["trace", *PIN_FUNCTIONS[i], "--digits=30", f"--n={n}"]
              for i, n in ((0, 1), (1, 2), (2, 3), (4, 1), (6, 2))]
 PIN_GRID += [["verify", f"--suite={s}", "--digits=30"] for s in ("identities", "coefficients")]
-CLI_PIN = "45a57b9417a9cc70d4d96f4ffb93fa1348d78839240a017551b95868eb455eb2"
+CLI_PIN = "326f6ae353102f67e74675acde1df6d63f381c866654d77f7769acea282818a5"
 
 
 def pin_outputs(main, out_dir) -> list:

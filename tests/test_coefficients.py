@@ -6,13 +6,14 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from types import SimpleNamespace
 
 import mpmath
 import pytest
 from mpmath import mpf, workdps
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 from zetataylor import coefficients, verification
 from zetataylor.coefficients import (
@@ -451,6 +452,19 @@ def test_n0_closed_forms_requires_every_series_to_converge(monkeypatch):
     assert verification.check_n0_closed_forms(30) == (False, "max delta=0.0 on 22 points")
 
 
+def test_n1_closed_forms_checks_log_gamma_at_one_half(monkeypatch):
+    # log Gamma(3/2) = log(pi)/2 - log 2 misses by 3.1e-4 against an estimate
+    # of 8.4e-4; a shift of 1e-2 is past twice the estimate
+    def shifted(a, **kw):
+        res = log_gamma_series(a, **kw)
+        return res._replace(value=res.value + mpf("1e-2")) if a == Fraction(1, 2) else res
+
+    monkeypatch.setattr(verification.coeffs, "log_gamma_series", shifted)
+    ok, detail = verification.check_n1_closed_forms(30)
+    assert not ok
+    assert "loggamma a=1/2:0.0103 est=0.00084" in detail
+
+
 def test_stirling_orthogonality_checks_the_exp_polynomial_rows(monkeypatch):
     def bumped(k):
         row = exp_polynomial_coeffs(k)
@@ -747,6 +761,27 @@ def test_only_wide_inputs_take_the_fixed_point_path():
             next(coefficients._terms(3, x, lam))
             assert (coefficients._values[_key(x, lam, prec)][3] is not None) == wide, (x, lam)
     coefficients._values.clear()
+
+
+@pytest.mark.parametrize("x,lam", [(Fraction(4, 3), None), (Fraction(0), None),
+                                   (fraction_from_mpf(0.8) - 1, None), (Fraction(0), Fraction(-1, 3)),
+                                   (Fraction(1, 4), Fraction(1, 2)),
+                                   (fraction_from_mpf(2.3) - 1, fraction_from_mpf(0.73))], ids=str)
+def test_the_engine_sums_the_term_pairs_as_the_same_values_in_mpfs(x, lam):
+    # Hurwitz 7/3 and Riemann narrow, Hurwitz at an mpf 0.8 wide; Lerch
+    # (1, -1/3) and (5/4, 1/2) narrow, at mpfs (2.3, 0.73) wide
+    for digits in (30, 100):
+        with workdps(digits):
+            for n in range(7):
+                pairs = list(islice(coefficients._terms(n, x, lam), 64))
+                assert all(type(m) is int and type(e) is int for m, e in pairs)
+                mpfs = [mpmath.mp.make_mpf(from_man_exp(m, e)) for m, e in pairs]
+                got, want = (sum_semiconvergent(iter(terms), start=n, trace=True) for terms in (pairs, mpfs))
+                assert (got.value._mpf_, got.error_estimate._mpf_, got.truncation_index,
+                        got.terminated_by) == (want.value._mpf_, want.error_estimate._mpf_,
+                                               want.truncation_index, want.terminated_by)
+                assert [(r.k, r.term._mpf_, r.partial_sum._mpf_) for r in got.trace] == [
+                    (r.k, r.term._mpf_, r.partial_sum._mpf_) for r in want.trace], (digits, n)
 
 
 # --------------------------- in-process pin ----------------------------

@@ -391,7 +391,7 @@ def test_caches_are_consistent_under_threads():
         for k in range(start, start + 8):  # each term s1(k, n) times the floor, exactly
             man, exp = q(x, lam, k, prec)
             want.append(from_man_exp((-1) ** (k + 1) * stirling1(k, start) * man, exp))
-        assert [t._mpf_ for t in got] == want, (x, lam, start)
+        assert [from_man_exp(*t) for t in got] == want, (x, lam, start)
     for ((u, v), lam_pq, key_prec), (values, *_) in coefficients._values.items():  # every kept value
         x, lam = Fraction(u, v), lam_pq and Fraction(*lam_pq)
         assert values == [q(x, lam, k, key_prec) for k in range(len(values))], (x, lam, key_prec)

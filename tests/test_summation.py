@@ -23,7 +23,9 @@ from zetataylor.summation import (
 
 
 def _exact(x) -> Fraction:
-    """A finite mpf or an int as its exact rational value."""
+    """A finite mpf, an int or an int pair (man, exp) as its exact rational value."""
+    if isinstance(x, tuple):
+        return x[0] * Fraction(2) ** x[1]
     return Fraction(x) if isinstance(x, int) else Fraction(*to_rational(x._mpf_))
 
 
@@ -145,6 +147,13 @@ def test_non_finite_term_raises_with_index():
     with pytest.raises(NonFiniteTermError) as exc:
         sum_semiconvergent(iter(vals), start=3)
     assert exc.value.index == 5
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1,), (1.0, 2), (1, mpf(2)), (True, 0), (Fraction(1, 2), 0)],
+                         ids=repr)
+def test_a_malformed_tuple_term_is_refused_with_its_index(bad):
+    with pytest.raises(TypeError, match=r"^term 5: a tuple term is \(man, exp\), two ints"):
+        sum_semiconvergent(iter([(3, -1), mpf(1), 2, bad, (1, 0)]), start=2, max_terms=10)
 
 
 def test_precondition_validation():
@@ -353,9 +362,9 @@ def test_trace_does_not_change_the_cut(vals, max_terms, start):
 
 def _exact_engine(terms, start, max_terms):
     """The engine's loop in exact Fraction arithmetic on the terms as the
-    engine takes them (an int or an mpf exactly, anything else rounded once
-    by to_mpf), with the value and the estimate rounded once at the end:
-    the oracle of the integer loop's bits."""
+    engine takes them (an int, an mpf or an int pair exactly, anything else
+    rounded once by to_mpf), with the value and the estimate rounded once
+    at the end: the oracle of the integer loop's bits."""
     def rounded(x):
         return from_rational(x.numerator, x.denominator, mpmath.mp.prec, round_nearest)
 
@@ -365,8 +374,8 @@ def _exact_engine(terms, start, max_terms):
     k = start - 1
     for raw in terms:
         k += 1
-        term = raw if isinstance(raw, (int, mpf)) else to_mpf(raw)
-        if not mpmath.isfinite(term):
+        term = raw if isinstance(raw, (int, mpf, tuple)) else to_mpf(raw)
+        if not isinstance(term, tuple) and not mpmath.isfinite(term):
             raise NonFiniteTermError(k)
         term = _exact(term)
         before, partial = partial, partial + term
@@ -419,6 +428,8 @@ def _engine_term(kind: str, i: int, dps: int):
             return mpf(i) / 3 - mpf(i) / 3 * mpf(2) ** -(mpmath.mp.prec + 60)
     if kind == "float":
         return i / 7
+    if kind == "pair":  # man 2^exp of any width, near and far from the threshold; (0, -97) a zero
+        return i * 3 ** (25 * abs(i)), 90 * i - 97
     if kind == "far":  # far above and below the threshold
         return mpf(i) * mpf(2) ** (300 * i)
     if kind == "tie":  # odd i: halfway between two mpf values
@@ -432,7 +443,7 @@ def _engine_term(kind: str, i: int, dps: int):
 @given(
     st.sampled_from([15, 30, 60]),
     st.lists(st.tuples(st.sampled_from(["half", "half", "int", "tiny", "wide", "cancel", "float",
-                                        "far", "tie"]),
+                                        "far", "tie", "pair", "pair"]),
                        st.integers(-6, 6)), min_size=1, max_size=30),
     st.integers(0, 60),  # where a NaN or an infinity goes, if within the list
     st.integers(2, 35),
@@ -460,7 +471,7 @@ def test_engine_matches_the_exact_fraction_loop(dps, kinds, bad_at, max_terms, s
             traced, running = sum_semiconvergent(iter(vals), start=start, max_terms=max_terms,
                                                  trace=True), Fraction(0)
             for rec, x in zip(traced.trace, vals):
-                running += _exact(x if isinstance(x, (int, mpf)) else to_mpf(x))
+                running += _exact(x if isinstance(x, (int, mpf, tuple)) else to_mpf(x))
                 assert rec.partial_sum._mpf_ == from_rational(running.numerator, running.denominator,
                                                               mpmath.mp.prec, round_nearest)
     assert outcomes[0] == outcomes[1]
