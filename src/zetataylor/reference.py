@@ -1,16 +1,15 @@
 """Independent numerical ground truth for the coefficient series.
 
-Five pieces, none of which touches the Stirling/Bernoulli coefficient
+Four pieces, none of which touches the Stirling/Bernoulli coefficient
 series (the Bernoulli numbers from `exact` are the only shared numerics, so
-agreement between the two routes is meaningful evidence; the domain rule is
-the series' own, `coefficients.CoefficientQuery`).  The last is read off
-the third's jet, so it is a second view of that reference, not a check of
-it:
+agreement between the two routes is meaningful evidence; every entry point
+takes a and lam through the series' own boundary, `coefficients.CoefficientQuery`).
+The last is read off the second's jet, so it is a second view of that
+reference, not a check of it:
 
-* `hurwitz_zeta` - Euler-Maclaurin evaluation of zeta(s, a) for complex
-  s != 1, precision-controlled by the cutoff N and correction order J.
-* `lerch_phi` - direct summation of Phi(lam, s, a) for |lam| < 1, where
-  geometric decay converges for every s.
+* `hurwitz_zeta`, `lerch_phi` - zeta(s, a), s != 1, by Euler-Maclaurin and
+  Phi(lam, s, a), |lam| < 1, by direct summation: the one-node case of
+  `_hurwitz_at` and `_lerch_at`, which evaluate a whole contour pass.
 * `taylor_coefficients` - the Taylor coefficients at s = 0 for all
   n <= n_max in one pass: Euler-Maclaurin run in truncated power-series
   arithmetic in s (F. Johansson, Numer. Algorithms 69 (2015),
@@ -48,9 +47,9 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_log,
                           mpf_lt, mpf_mul, mpf_neg, mpf_sub)
 
-from .coefficients import CoefficientQuery, _exact
+from .coefficients import CoefficientQuery
 from .exact import bernoulli_number, kept
-from .summation import _check_int, to_mpf, working_precision
+from .summation import to_mpf, working_precision
 
 __all__ = [
     "OracleConfig",
@@ -106,39 +105,38 @@ class OracleValue(NamedTuple):
 
 
 def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> mpc:
-    """zeta(s, a) for complex s != 1, a > 0, by Euler-Maclaurin:
-
-        sum_{m<N} (m+a)^-s + (N+a)^(1-s)/(s-1) + (N+a)^-s / 2
-        + sum_{j=1}^{J} B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^(-s-2j+1)
-
-    with (s)_m the rising factorial.  At negative integer s the corrections
-    terminate and the value is exact up to rounding.
-    """
-    _check_int("digits", digits, 15)
-    if cfg is None:
-        cfg = OracleConfig.for_digits(digits)
+    """zeta(s, a) for complex s != 1, a > 0: `_hurwitz_at` at the one node s.
+    An inexact a is rounded once at `digits`, as on every other route."""
+    q = CoefficientQuery("hurwitz", 0, a, None, digits)
     with working_precision(digits + _GUARD_DPS):
         s = mpmath.mpmathify(s)
-        av = to_mpf(_exact("shift a", a, digits + _GUARD_DPS))
-        if not av > 0:
-            raise ValueError("a must be positive")
         if s == 1:
             raise ValueError("zeta(s, a) has a pole at s = 1")
-        total = mpc(0)
-        for m in range(cfg.em_cutoff):
-            total += mpmath.power(av + m, -s)
-        edge = av + cfg.em_cutoff
-        total += mpmath.power(edge, 1 - s) / (s - 1)
-        total += mpmath.power(edge, -s) / 2
-        rising = mpc(1)
-        built = 0
-        for j in range(1, cfg.em_order + 1):
-            while built < 2 * j - 1:
-                rising *= s + built
-                built += 1
-            w = to_mpf(bernoulli_number(2 * j) / factorial(2 * j))
-            total += w * rising * mpmath.power(edge, -s - 2 * j + 1)
-        return total
+        return _hurwitz_at([s], to_mpf(q.a), cfg or OracleConfig.for_digits(digits))[0]
+
+
+def _hurwitz_at(nodes: list, av, cfg: OracleConfig) -> list:
+    """zeta(s, a) at every node s != 1 by Euler-Maclaurin, (s)_m the rising
+    factorial; at negative integer s the corrections terminate:
+
+        sum_{m<N} (m+a)^-s + (N+a)^-s [(N+a)/(s-1) + 1/2
+                                       + sum_{j=1}^{J} B_{2j}/(2j)! (N+a)^(1-2j) (s)_{2j-1}]
+
+    The logs, with 10 guard bits (an error in one is the same at every node, so
+    the contour does not average it out), and the weights are computed once."""
+    edge = av + cfg.em_cutoff
+    logs = [mpmath.ln(av + m, prec=mp.prec + 10) for m in range(cfg.em_cutoff + 1)]
+    weights = [to_mpf(bernoulli_number(2 * j) / factorial(2 * j)) * edge ** (1 - 2 * j)
+               for j in range(1, cfg.em_order + 1)]
+    out = []
+    for s in nodes:
+        tail, rising = mpf(0.5), s  # apart from the large (N+a)/(s-1); rising = (s)_(2j-1)
+        for j, w in enumerate(weights, 1):
+            tail += w * rising
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        *head, edge_power = [mpmath.exp(-s * x) for x in logs]
+        out.append(sum(head, mpc(0)) + edge_power * (edge / (s - 1) + tail))
+    return out
 
 
 def _decaying(lam) -> mpf:
@@ -151,34 +149,29 @@ def _decaying(lam) -> mpf:
 
 
 def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
-    """Phi(lam, s, a) = sum_n lam^n (n+a)^-s by direct summation,
-    for real |lam| < 1 strictly (a > 0, any complex s)."""
-    _check_int("digits", digits, 15)
+    """Phi(lam, s, a) for real |lam| < 1 strictly, a > 0 and any complex s:
+    `_lerch_at` at the one node s.  An inexact a or lam is rounded once at
+    `digits`, as on every other route."""
+    q = CoefficientQuery("lerch", 0, a, lam, digits)
     with working_precision(digits + _GUARD_DPS):
-        lamv = _decaying(_exact("lambda", lam, digits + _GUARD_DPS))
-        s = mpmath.mpmathify(s)
-        av = to_mpf(_exact("shift a", a, digits + _GUARD_DPS))
-        if not av > 0:
-            raise ValueError("a must be positive")
-        sigma = -mpmath.re(s)  # power-factor growth exponent, if positive
-        eps = mpf(10) ** (-(mpmath.mp.dps + 2))
-        total = mpc(0)
-        pw = mpf(1)  # lam^n
-        n = 0
-        while pw != 0:  # lam = 0, or lam^n underflowed
-            total += pw * mpmath.power(av + n, -s)
-            n += 1
-            pw *= lamv
-            # geometric tail bound: once the per-term ratio q < 1, the
-            # remainder is below |term| * q / (1 - q)
-            q = abs(lamv)
-            if sigma > 0:
-                q *= (1 + 1 / (av + n)) ** sigma
-            if q < 1:
-                t = abs(pw) * mpmath.power(av + n, sigma) if sigma > 0 else abs(pw)
-                if t * q / (1 - q) < eps:
-                    break
-        return total
+        return _lerch_at([mpmath.mpmathify(s)], _decaying(q.lam), to_mpf(q.a))[0]
+
+
+def _lerch_at(nodes: list, lamv, av) -> list:
+    """Phi(lam, s, a) = sum_{m<K} lam^m (m+a)^-s at every node s, from one
+    list of (lam^m, log(m+a)).  For m >= 1, m + a > 1, so every node's term m
+    is below U_m = |lam|^m (m+a)^sigma, sigma = max(0, max -Re s), and
+    U_(m+1)/U_m <= q = |lam| (1 + 1/(m+a))^sigma falls with m; K is the first
+    m >= 1 with q < 1 and the tail bound U_m / (1 - q) below 10^-(dps+2)."""
+    sigma = max([mpf(0)] + [-mpmath.re(s) for s in nodes])
+    eps, terms, pw, m = mpf(10) ** (-(mp.dps + 2)), [], mpf(1), 0
+    while True:
+        terms.append((pw, mpmath.ln(av + m, prec=mp.prec + 10)))
+        m, pw = m + 1, pw * lamv
+        q = abs(lamv) * (1 + 1 / (av + m)) ** sigma
+        if q < 1 and abs(pw) * (av + m) ** sigma < eps * (1 - q):
+            break
+    return [sum((w * mpmath.exp(-s * x) for w, x in terms), mpc(0)) for s in nodes]
 
 
 def _power_jet(log_x, n_max: int) -> list:
@@ -340,34 +333,31 @@ def taylor_coefficients_contour(
 
         c_n ~ (1/M) sum_j F(r e^(2 pi i j / M)) e^(-2 pi i j n / M) / r^n
 
-    One pass evaluates F at the 2M nodes r*exp(2*pi*i*j/(2M)) (conjugate
-    symmetry halves the work) and reads every n off them.  Each error
+    One pass evaluates F at the 2M nodes r e^(2 pi i j / 2M): the M + 1
+    with j <= M in one evaluator call, the rest as their conjugates.  Each n
+    turns the values by the conjugate node angles once more; each error
     estimate is the change from M to 2M nodes, plus a rounding floor.
     """
     q = CoefficientQuery(family, n_max, a, lam, digits)
-    if cfg is None:
-        cfg = OracleConfig.for_digits(digits)
+    cfg = cfg or OracleConfig.for_digits(digits)
     M = cfg.contour_points
     two_m = 2 * M
     with working_precision(digits + _GUARD_DPS):
-        r = to_mpf(Fraction(cfg.contour_radius))
-        upper = []
-        for j in range(M + 1):
-            node = r * mpmath.expjpi(mpf(2 * j) / two_m)
-            if family == "lerch":
-                upper.append(lerch_phi(q.lam, node, q.a, digits=digits))
-            else:
-                upper.append(hurwitz_zeta(node, q.a, cfg, digits=digits))
+        r, av = to_mpf(Fraction(cfg.contour_radius)), to_mpf(q.a)
+        units = [mpmath.expjpi(mpf(j) / M) for j in range(M + 1)]  # e^(2 pi i j / 2M)
+        units += [mpmath.conj(units[two_m - j]) for j in range(M + 1, two_m)]
+        nodes = [r * u for u in units[: M + 1]]
+        upper = (_lerch_at(nodes, _decaying(q.lam), av) if family == "lerch"
+                 else _hurwitz_at(nodes, av, cfg))
         values = upper + [mpmath.conj(upper[two_m - j]) for j in range(M + 1, two_m)]
         out = []
-        for n in range(n_max + 1):
+        for n in range(n_max + 1):  # values[j] is F(node j) e^(-2 pi i j n / 2M)
             rn = r**n
-            fine = sum((values[j] * mpmath.expjpi(mpf(-2 * j * n) / two_m)
-                        for j in range(two_m)), mpc(0)) / (two_m * rn)
-            coarse = sum((values[2 * j] * mpmath.expjpi(mpf(-2 * j * n) / M)
-                          for j in range(M)), mpc(0)) / (M * rn)
+            fine = sum(values, mpc(0)) / (two_m * rn)
+            coarse = sum(values[::2], mpc(0)) / (M * rn)
             floor = mpf(10) ** (-(digits + 2)) * (1 + abs(fine))
             out.append(OracleValue(fine.real, abs(fine - coarse) + floor))
+            values = [v * mpmath.conj(u) for v, u in zip(values, units)]
         return out
 
 

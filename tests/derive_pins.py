@@ -2,12 +2,14 @@
 
 The pins are CLI_PIN (test_cli.py: the bytes of the PIN_GRID commands),
 VALUE_PIN and RUN_BITS (test_coefficients.py: the in-process rows of the
-PIN_CALLS grid and of every RUN_BITS run, n = 0..6) and DEMO_PIN
-(test_acceptance.py: the output of every demo).  This script computes every
-pin's rows on an older tree, in one child process, and on this one; lists
-each row that moved, with the first line that differs for command output;
-asserts that no RUN_BITS truncation index or stop reason moved; and prints
-the new pins.  A change that moves bits says why in CHANGES.md.
+PIN_CALLS grid and of every RUN_BITS run, n = 0..6), DEMO_PIN
+(test_acceptance.py: the output of every demo) and CONTOUR_GOLDEN
+(test_reference.py: the bits of the contour at 15 digits).  This script
+computes every pin's rows on an older tree, in one child process, and on
+this one; lists each row that moved, with the first line that differs for
+command output; asserts that no RUN_BITS truncation index or stop reason
+moved; and prints the new pins.  A change that moves bits says why in
+CHANGES.md.
 
 Usage, with the old tree's `src` directory as the argument:
 
@@ -32,13 +34,16 @@ def rows(src: str) -> dict:
     import test_acceptance
     import test_cli
     import test_coefficients as t
+    import test_reference
 
     assert Path(t.coefficients.__file__).is_relative_to(Path(src).resolve())
     with tempfile.TemporaryDirectory() as out_dir:
         cli = test_cli.pin_outputs(test_cli.main, Path(out_dir))
     return {"CLI_PIN": cli, "VALUE_PIN": t.pin_rows(),
             "RUN_BITS": [t._run_result(run, n) for run in t.RUN_BITS for n in range(7)],
-            "DEMO_PIN": test_acceptance.demo_outputs(src)}
+            "DEMO_PIN": test_acceptance.demo_outputs(src),
+            "CONTOUR_GOLDEN": [row for key, want in test_reference.CONTOUR_GOLDEN.items()
+                               for row in test_reference.contour_bits(*key, len(want))]}
 
 
 def main(old_src: str) -> None:
@@ -48,6 +53,7 @@ def main(old_src: str) -> None:
     import test_acceptance
     import test_cli
     import test_coefficients as t
+    import test_reference
 
     labels = {
         "CLI_PIN": [" ".join(argv) for argv in test_cli.PIN_GRID],
@@ -55,6 +61,8 @@ def main(old_src: str) -> None:
                       in product(t.PIN_CALLS, (30, 50, 100), range(7))],
         "RUN_BITS": [f"{run} n={n}" for run in t.RUN_BITS for n in range(7)],
         "DEMO_PIN": [demo.name for demo in test_acceptance.DEMOS],
+        "CONTOUR_GOLDEN": [f"contour {family} a={a} lam={lam} n={n}" for (family, a, lam), want
+                           in test_reference.CONTOUR_GOLDEN.items() for n in range(len(want))],
     }
     for pin, names in labels.items():
         moved = [(name, was, now) for name, was, now in zip(names, old[pin], new[pin]) if was != now]
@@ -73,6 +81,14 @@ def main(old_src: str) -> None:
     for i, run in enumerate(t.RUN_BITS):
         key = repr(run).replace("'", '"')
         print(f'    {key}: "{t._bits(new["RUN_BITS"][7 * i:7 * i + 7])}",')
+    print("}")
+    print("CONTOUR_GOLDEN = {")
+    contour = iter(new["CONTOUR_GOLDEN"])
+    for key, want in test_reference.CONTOUR_GOLDEN.items():
+        print(f"    {key!r}: [".replace("'", '"'))
+        for _ in want:
+            print(f"        {next(contour)!r},")
+        print("    ],")
     print("}")
 
 

@@ -101,7 +101,7 @@ def test_criterion_10_cli_determinism():
 # One sha256 over the (exit code, stdout) of every demo, each run in a fresh
 # process; `derive_pins.py` re-derives it and lists the demos that moved.
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-DEMO_PIN = "913a825f5195c020284ea66fd3b6036b9668577dc699118eda6d169c2bdb3d91"
+DEMO_PIN = "5cb55b07993000d193a7adbd51502c68583c6ecab47c82228fd46c605ee29883"
 
 
 def demo_outputs(src) -> list:

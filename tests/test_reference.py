@@ -52,9 +52,10 @@ def test_euler_maclaurin_domain_errors():
         hurwitz_zeta(1, 1)
     with pytest.raises(ValueError):
         hurwitz_zeta(2, 0)
-    for a in (1j, "2"):
-        with pytest.raises(ValueError, match="shift a"):
-            hurwitz_zeta(0, a)
+    for s, a, message in ((0, 1j, "shift a"), (0, "2", "shift a"),
+                          (2, 0, "shift a must be positive"), (0, Fraction(-1, 2), "shift a must be positive")):
+        with pytest.raises(ValueError, match=message):
+            hurwitz_zeta(s, a)
 
 
 def test_lerch_phi_geometric():
@@ -74,29 +75,73 @@ def test_lerch_phi_rejects_unit_lambda():
         lerch_phi(1, 0, 1)
     with pytest.raises(ValueError):
         lerch_phi(-1, 0, 1)
-    with pytest.raises(ValueError, match="shift a"):
-        lerch_phi(0.5, 0, 1j)
-    with pytest.raises(ValueError, match="lambda"):
-        lerch_phi(0.5j, 0, 1)
+    for lam, a, message in ((0.5, 1j, "shift a"), (0.5j, 1, "lambda"),
+                            (1, 1, "lambda=1 is the hurwitz case"), (-1, 1, "direct Lerch sum"),
+                            (2, 1, r"\|lambda\| <= 1"), (0.5, 0, "shift a must be positive")):
+        with pytest.raises(ValueError, match=message):
+            lerch_phi(lam, 0, a)
+
+
+def _pass_nodes(cfg):
+    """The M + 1 nodes r e^(2 pi i j / 2M), j <= M, of one contour pass."""
+    r, m = to_mpf(cfg.contour_radius), cfg.contour_points
+    return [r * mpmath.expjpi(mpf(j) / m) for j in range(m + 1)]
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_a_hurwitz_pass_gives_each_node_its_own_bits(digits):
+    cfg = OracleConfig.for_digits(digits)
+    for a in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)):
+        with workdps(digits + 10):
+            nodes = _pass_nodes(cfg)
+            got = reference._hurwitz_at(nodes, to_mpf(a), cfg)
+        for j in range(0, len(nodes), 8):
+            alone = hurwitz_zeta(nodes[j], a, cfg, digits=digits)
+            assert (got[j].real._mpf_, got[j].imag._mpf_) == (alone.real._mpf_, alone.imag._mpf_), (a, j)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-1, 3), Fraction(0)], ids=str)
+def test_a_lerch_pass_is_each_node_alone_within_the_floor(lam):
+    # the pass sums every node to the tail bound of its worst node, s = -r,
+    # so another node's value only gains terms below the bound
+    digits = 30
+    cfg = OracleConfig.for_digits(digits)
+    for a in (Fraction(1, 10), Fraction(1), Fraction(5, 4)):  # a = 1/10: n + a < 1 at n = 0
+        with workdps(digits + 10):
+            nodes = _pass_nodes(cfg)
+            got = reference._lerch_at(nodes, to_mpf(lam), to_mpf(a))
+            floor = [mpf(10) ** -(digits + 2) * (1 + abs(v)) for v in got]
+        for j in range(0, len(nodes), 8):
+            assert abs(got[j] - lerch_phi(lam, nodes[j], a, digits=digits)) <= floor[j], (a, j)
+        with workdps(digits + 20):
+            want = mpmath.lerchphi(to_mpf(lam), nodes[-1], to_mpf(a))
+            assert nodes[-1] == -to_mpf(cfg.contour_radius)
+            assert abs(got[-1] - want) <= floor[-1], a
+
+
+# (value, error_estimate) as mpf tuples of the contour at 15 digits, derived
+# by tests/derive_pins.py: one evaluator call per pass
+CONTOUR_GOLDEN = {
+    ("hurwitz", Fraction(3, 2), None): [
+        ((1, 77371252455336267181195259, -86, 86), (0, 27875931626045167745874707, -140, 85)),
+        ((1, 40222249121856059583355563, -85, 86), (0, 28429558421873835130368937, -140, 85)),
+        ((1, 19290576180392347162037765, -84, 84), (0, 55676581789448428711620899, -141, 86)),
+    ],
+    ("lerch", Fraction(5, 4), Fraction(-1, 3)): [
+        ((0, 14507109835375550096474113, -84, 84), (0, 48782880373987606676646751, -141, 86)),
+        ((1, 27285363293577670553899, -79, 75), (0, 29134246827725354295092471, -141, 85)),
+    ],
+}
+
+
+def contour_bits(family, a, lam, count) -> list:
+    got = taylor_coefficients_contour(family, count - 1, a, lam, digits=15)
+    return [(v.value._mpf_, v.error_estimate._mpf_) for v in got]
 
 
 def test_contour_golden_bits():
-    # (value, error_estimate) as mpf tuples, recorded from the per-n contour
-    # that cached its nodes; one node pass per call must give the same bits
-    golden = {
-        ("hurwitz", Fraction(3, 2), None): [
-            ((1, 77371252455336267181195259, -86, 86), (0, 55751863140450735284320359, -141, 86)),
-            ((1, 20111124560928029791677789, -84, 85), (0, 56859116843683061650386111, -141, 86)),
-            ((1, 9645288090196173581018877, -83, 83), (0, 55676581858622543593718559, -141, 86)),
-        ],
-        ("lerch", Fraction(5, 4), Fraction(-1, 3)): [
-            ((0, 14507109835375550096474113, -84, 84), (0, 24391440186993673193721243, -140, 85)),
-            ((1, 27285363293577670553899, -79, 75), (0, 58268493655386985828446797, -142, 86)),
-        ],
-    }
-    for (family, a, lam), want in golden.items():
-        got = taylor_coefficients_contour(family, len(want) - 1, a, lam, digits=15)
-        assert [(v.value._mpf_, v.error_estimate._mpf_) for v in got] == want
+    for key, want in CONTOUR_GOLDEN.items():
+        assert contour_bits(*key, len(want)) == want
 
 
 def test_contour_requires_lambda_for_lerch():
