@@ -70,6 +70,7 @@ from .exact import (
     stirling2,
 )
 from .summation import (
+    DEFAULT_MAX_TERMS,
     SemiConvergentResult,
     _check_int,
     _rounded,
@@ -95,7 +96,6 @@ __all__ = [
 FAMILIES = ("hurwitz", "riemann", "lerch")
 
 DEFAULT_DIGITS = 50
-DEFAULT_MAX_TERMS = 64
 
 
 def fraction_from_mpf(x) -> Fraction:

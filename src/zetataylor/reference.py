@@ -47,7 +47,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_log,
                           mpf_lt, mpf_mul, mpf_neg, mpf_sub)
 
-from .coefficients import CoefficientQuery
+from .coefficients import DEFAULT_DIGITS, CoefficientQuery
 from .exact import bernoulli_number, kept
 from .summation import to_mpf, working_precision
 
@@ -104,7 +104,7 @@ class OracleValue(NamedTuple):
     error_estimate: mpf
 
 
-def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = 50) -> mpc:
+def hurwitz_zeta(s, a, cfg: OracleConfig | None = None, *, digits: int = DEFAULT_DIGITS) -> mpc:
     """zeta(s, a) for complex s != 1, a > 0: `_hurwitz_at` at the one node s.
     An inexact a is rounded once at `digits`, as on every other route."""
     q = CoefficientQuery("hurwitz", 0, a, None, digits)
@@ -148,7 +148,7 @@ def _decaying(lam) -> mpf:
     return lamv
 
 
-def lerch_phi(lam, s, a, *, digits: int = 50) -> mpc:
+def lerch_phi(lam, s, a, *, digits: int = DEFAULT_DIGITS) -> mpc:
     """Phi(lam, s, a) for real |lam| < 1 strictly, a > 0 and any complex s:
     `_lerch_at` at the one node s.  An inexact a or lam is rounded once at
     `digits`, as on every other route."""
@@ -281,7 +281,7 @@ _jets: OrderedDict = OrderedDict()
 
 
 def taylor_coefficients(
-    family: str, n_max: int, a, lam=None, *, digits: int = 50
+    family: str, n_max: int, a, lam=None, *, digits: int = DEFAULT_DIGITS
 ) -> list[OracleValue]:
     """Taylor coefficients c_0..c_n_max at s = 0 of zeta(s, a) (family
     "hurwitz", or "riemann" with a = 1) or Phi(lam, s, a) (family "lerch",
@@ -325,7 +325,7 @@ def taylor_coefficients_contour(
     lam=None,
     cfg: OracleConfig | None = None,
     *,
-    digits: int = 50,
+    digits: int = DEFAULT_DIGITS,
 ) -> list[OracleValue]:
     """Taylor coefficients c_0..c_n_max at s = 0 of zeta(s, a) (family
     "hurwitz" or "riemann") or Phi(lam, s, a) (family "lerch", |lam| < 1),
@@ -361,7 +361,7 @@ def taylor_coefficients_contour(
         return out
 
 
-def log_gamma_ref(a, *, digits: int = 50) -> mpf:
+def log_gamma_ref(a, *, digits: int = DEFAULT_DIGITS) -> mpf:
     """log Gamma(a) for a > 0 by Lerch's formula, at digits + 10 working
     digits: zeta'(0, a), the c_1 of the kept Hurwitz jet, plus log(2 pi)/2."""
     c1 = taylor_coefficients("hurwitz", 1, a, digits=digits)[1].value

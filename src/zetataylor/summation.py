@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 TerminationReason = Literal["minimal_term", "converged", "max_terms"]
+DEFAULT_MAX_TERMS = 64  # the summation budget of every entry point that takes one
 
 
 class working_precision:
@@ -208,7 +209,7 @@ def sum_semiconvergent(
     terms: Iterable,
     *,
     start: int = 0,
-    max_terms: int = 64,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: bool = False,
 ) -> SemiConvergentResult:
     """Sum an indexed series (term k = start, start+1, ...) with

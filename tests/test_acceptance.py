@@ -1,7 +1,8 @@
 """Acceptance gates: every self-check of `verification.SUITES` at 50
-digits, one test id per check (`pytest -k oracle/contour_vs_jet`), a
-guard that the registry holds every check once, byte-identical CLI
-output, and the demos' pinned output.
+digits through `run_check`, one test id per check (`pytest -k
+oracle/contour_vs_jet`), a check's result independent of the caller's
+precision, a guard that the registry holds every check once,
+byte-identical CLI output, and the demos' pinned output.
 """
 
 import ast
@@ -14,6 +15,7 @@ from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from zetataylor import verification
@@ -36,10 +38,21 @@ BUDGET_S = {
 @pytest.mark.parametrize("check_id, fn", CHECKS, ids=[cid for cid, _ in CHECKS])
 def test_check(check_id, fn):
     t0 = time.perf_counter()
-    ok, detail = fn(50)
+    ok, detail = verification.run_check(fn, 50)
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < BUDGET_S.get(check_id, float("inf")), f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("suite", ["identities", "coefficients"])
+def test_run_check_sets_the_precision_whatever_the_callers(suite):
+    # the CLI calls at mpmath's default 15 digits, the tests at the fixture's 60
+    for label, fn in verification.SUITES[suite]:
+        results = []
+        for ambient in (15, 60):
+            with mpmath.workdps(ambient):
+                results.append(verification.run_check(fn, 30))
+        assert results[0] == results[1], label
 
 
 def test_every_check_is_registered_once():

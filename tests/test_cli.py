@@ -430,7 +430,7 @@ PIN_GRID = [
 PIN_GRID += [["trace", *PIN_FUNCTIONS[i], "--digits=30", f"--n={n}"]
              for i, n in ((0, 1), (1, 2), (2, 3), (4, 1), (6, 2))]
 PIN_GRID += [["verify", f"--suite={s}", "--digits=30"] for s in ("identities", "coefficients")]
-CLI_PIN = "326f6ae353102f67e74675acde1df6d63f381c866654d77f7769acea282818a5"
+CLI_PIN = "0a18243eef156e8567015d90054d5dcf9a548c84be5de66aa9210f2456379549"
 
 
 def pin_outputs(main, out_dir) -> list:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -395,7 +396,7 @@ def test_newton_identity_rejects_the_paper_lerch_weight(monkeypatch):
     # the true one only where n is even, so only the m = 0 points hold
     # the check's weight (-1)^(k+1) s1(k, n) becomes the paper's when s1 carries (-1)^n
     monkeypatch.setattr(verification.exact, "stirling1", lambda k, n: (-1) ** n * stirling1(k, n))
-    ok, detail = verification.check_newton_identity(30)
+    ok, detail = verification.run_check(verification.check_newton_identity, 30)
     assert not ok
     assert detail.startswith("105 of 120 points miss")
 
@@ -410,7 +411,7 @@ def test_series_vs_jet_names_the_point_a_shifted_jet_value_misses(monkeypatch):
             return jet
 
         monkeypatch.setattr(verification.reference, "taylor_coefficients", shifted)
-        assert verification.check_series_vs_jet(30) == (
+        assert verification.run_check(verification.check_series_vs_jet, 30) == (
             False, "series misses the reference at {} a={} n={} (delta)".format(*point))
 
 
@@ -423,7 +424,7 @@ def test_series_vs_jet_names_an_n1_estimate_above_its_cap(monkeypatch):
         return res
 
     monkeypatch.setattr(verification.coeffs, "compute_coefficient", loose)
-    assert verification.check_series_vs_jet(30) == (
+    assert verification.run_check(verification.check_series_vs_jet, 30) == (
         False, "series misses the reference at hurwitz a=2 n=1 (estimate above 1e-2)")
 
 
@@ -436,7 +437,7 @@ def test_reference_closed_forms_keeps_the_tighter_tolerance_where_tables_meet(mo
         return value + mpf("1e-25") if (s_, a_) == (s, a) else value
 
     monkeypatch.setattr(verification.reference, "hurwitz_zeta", shifted)
-    assert verification.check_reference_closed_forms(30) == (
+    assert verification.run_check(verification.check_reference_closed_forms, 30) == (
         False, f"1 of 72 points miss, first (s={s}, a={a}, lam=None)")
 
 
@@ -449,20 +450,33 @@ def test_n0_closed_forms_requires_every_series_to_converge(monkeypatch):
         return res
 
     monkeypatch.setattr(verification.coeffs, "compute_coefficient", unconverged)
-    assert verification.check_n0_closed_forms(30) == (False, "max delta=0.0 on 22 points")
+    assert verification.run_check(verification.check_n0_closed_forms, 30) == (
+        False, "max delta=0.0 on 22 points")
 
 
-def test_n1_closed_forms_checks_log_gamma_at_one_half(monkeypatch):
+@pytest.mark.parametrize("at, row", [(Fraction(1, 2), "loggamma a=1/2:0.0103 est=0.00084"),
+                                     (Fraction(3, 2), "loggamma a=3/2:0.00944 est=0.00196")],
+                         ids=["a=1/2", "a=3/2"])
+def test_n1_closed_forms_checks_log_gamma_at_one_half(monkeypatch, at, row):
     # log Gamma(3/2) = log(pi)/2 - log 2 misses by 3.1e-4 against an estimate
-    # of 8.4e-4; a shift of 1e-2 is past twice the estimate
+    # of 8.4e-4, log Gamma(5/2) = log(3/4) + log(pi)/2 by 5.6e-4 against 2.0e-3;
+    # a shift of 1e-2 is past twice either estimate
     def shifted(a, **kw):
         res = log_gamma_series(a, **kw)
-        return res._replace(value=res.value + mpf("1e-2")) if a == Fraction(1, 2) else res
+        return res._replace(value=res.value + mpf("1e-2")) if a == at else res
 
     monkeypatch.setattr(verification.coeffs, "log_gamma_series", shifted)
-    ok, detail = verification.check_n1_closed_forms(30)
+    ok, detail = verification.run_check(verification.check_n1_closed_forms, 30)
     assert not ok
-    assert "loggamma a=1/2:0.0103 est=0.00084" in detail
+    assert row in detail
+
+
+def test_n1_closed_forms_rows_are_three_different_points():
+    # log Gamma(2) = zeta_1(2) + log(2 pi)/2 sums the riemann row's terms, so
+    # a row at a = 1 would repeat its (delta, est)
+    ok, detail = verification.run_check(verification.check_n1_closed_forms, 30)
+    pairs = re.findall(r":(\S+) est=(\S+)", detail)
+    assert ok and len(pairs) == len(set(pairs)) == 3, detail
 
 
 def test_stirling_orthogonality_checks_the_exp_polynomial_rows(monkeypatch):
@@ -471,7 +485,7 @@ def test_stirling_orthogonality_checks_the_exp_polynomial_rows(monkeypatch):
         return row[:-1] + (row[-1] + 1,) if k == 30 else row
 
     monkeypatch.setattr(verification.exact, "exp_polynomial_coeffs", bumped)
-    assert verification.check_stirling_orthogonality(30) == (
+    assert verification.run_check(verification.check_stirling_orthogonality, 30) == (
         False, "exp_polynomial_coeffs(30) is not the s2 row")
 
 
